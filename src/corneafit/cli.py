@@ -40,7 +40,7 @@ from .fit import (
     fit_mesh,
 )
 from .kernel import ModelParams, lemma_b_max, theorem1_b_max
-from .solver import RadialGrid, _h0_values, h0_profile, picard_step, solve
+from .solver import RadialGrid, _h0_values, solve
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,20 @@ def _format_value(value):
     return str(value)
 
 
+_CSV_BLOCK_ROWS = 512
+
+
 def _write_csv(path, header, columns):
-    rows = zip(*columns)
+    # One %-format per row over Python floats gives the same text as
+    # format(v, ".17g") per value. Rows go out in blocks, so only one
+    # block's values exist as Python floats at a time.
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    columns = [np.asarray(column) for column in columns]
     with open(path, "w", encoding="ascii") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(format(v, ".17g") for v in row) + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [column[start:start + _CSV_BLOCK_ROWS].tolist() for column in columns]
+            handle.writelines(row_format % row for row in zip(*block))
 
 
 def cmd_solve(a, b, n_nodes=401, tol=1e-10, out_path=None, enforce_bound=False):
@@ -84,8 +92,6 @@ def cmd_solve(a, b, n_nodes=401, tol=1e-10, out_path=None, enforce_bound=False):
     params = ModelParams(a=a, b=b)
     grid = RadialGrid.uniform(n_nodes)
     report = solve(params, grid, tol=tol, enforce_bound=enforce_bound)
-    base = h0_profile(params, grid)
-    first = picard_step(params, base)
     if out_path is not None:
         _write_csv(
             out_path,
@@ -94,8 +100,8 @@ def cmd_solve(a, b, n_nodes=401, tol=1e-10, out_path=None, enforce_bound=False):
                 grid.nodes,
                 report.profile.h,
                 report.profile.dh,
-                base.h,
-                report.envelope_constant_A * first.h,
+                report.h0.h,
+                report.envelope_constant_A * report.h1.h,
             ],
         )
     outputs = {

@@ -164,6 +164,15 @@ def generate_synthetic(spec):
     )
 
 
+def _file_line(lines, row):
+    """1-based file line of body row `row` (blank lines hold no row).
+
+    Only error paths call this, so the parse loop keeps no line count.
+    """
+    numbers = [number for number, line in enumerate(lines[1:], start=2) if line.strip()]
+    return numbers[row]
+
+
 def read_mesh(path):
     """Parse the text format; see the module docstring.
 
@@ -203,7 +212,8 @@ def read_mesh(path):
         tokens = line.split()
         if len(tokens) != cols:
             raise DimensionMismatch(
-                f"row has {len(tokens)} values, expected {cols}", line=i + 2
+                f"row has {len(tokens)} values, expected {cols}",
+                line=_file_line(lines, i),
             )
         try:
             z[i] = [float(token) for token in tokens]
@@ -213,7 +223,7 @@ def read_mesh(path):
                     float(token)
                 except ValueError:
                     raise ParseError(
-                        f"bad value {token!r}", line=i + 2, column=j + 1
+                        f"bad value {token!r}", line=_file_line(lines, i), column=j + 1
                     ) from None
             raise
 

@@ -26,6 +26,17 @@ origin because P(h') - 1 = O(h'^2) and h'(0) = 0. That restores clean
 second-order convergence (residual shrinks ~4x per grid doubling) and
 makes the zero-slope input reproduce h0 exactly.
 
+Everything the step needs besides the previous slope depends only on
+(params, grid): the kernel tables v0, v1, v0', v1', the quadrature
+weights t v0 and t v1, h0 with its slope, c = b / I0(sqrt(a)) and the
+admissibility report. A private solver plan evaluates them once; each
+Picard step on the plan is then only the P - 1 integrand, two cumulative
+sums and the recombination. solve builds one plan per call, keeps the
+first iterate h1 and hands the plan's h0 and that h1 to the envelope
+check and, through SolveReport, to its callers. picard_step and
+envelope_check are thin wrappers that build a plan per call. No plan is
+kept across calls.
+
 fd_oracle solves the same discrete problem by damped Newton on a
 conservative finite-difference stencil; it shares no quadrature with the
 Picard route and serves as its independent check.
@@ -39,7 +50,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import BoundViolation, HypothesisViolation, NoConvergence
-from .kernel import ModelParams, admissibility, dv0, dv1, v0, v1
+from .kernel import AdmissibilityReport, ModelParams, admissibility, dv0, dv1, v0, v1
 from .special import bessel_i
 
 
@@ -100,12 +111,21 @@ class RadialProfile:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
+    """Converged profile with its diagnostics.
+
+    h0 is the closed-form linearized profile the iteration starts from
+    and h1 the first Picard iterate; together with envelope_constant_A
+    they are the envelope A h1 <= h <= h0.
+    """
+
     profile: RadialProfile
     iterations: int
     final_sup_diff: float
     residual_sup: float
     envelope_ok: bool
     envelope_constant_A: float
+    h0: RadialProfile
+    h1: RadialProfile
 
 
 def _h0_values(params, r):
@@ -142,71 +162,135 @@ def h0_profile(params, grid):
     return RadialProfile(grid=grid, h=h, dh=dh)
 
 
+@dataclass(frozen=True, eq=False)
+class _SolverPlan:
+    """The Picard loop invariants for one (params, grid); see the module
+    docstring. v1 and v1' diverge at r = 0, so their tables (and the t v1
+    weight) cover r > 0 only."""
+
+    params: ModelParams
+    grid: RadialGrid
+    admissibility_report: AdmissibilityReport
+    i0: float  # I0(sqrt(a))
+    c: float  # b / I0(sqrt(a))
+    v0: np.ndarray
+    v1_pos: np.ndarray
+    dv0: np.ndarray
+    dv1_pos: np.ndarray
+    weight0: np.ndarray  # r v0
+    weight1_pos: np.ndarray  # r v1 on r > 0
+    h0: RadialProfile
+
+    @classmethod
+    def build(cls, params, grid):
+        r = grid.nodes
+        a = params.a
+        i0 = bessel_i(0, math.sqrt(a))
+        v0_all = v0(r, a)
+        v1_pos = v1(r[1:], a)
+        return cls(
+            params=params,
+            grid=grid,
+            admissibility_report=admissibility(params),
+            i0=i0,
+            c=params.b / i0,
+            v0=v0_all,
+            v1_pos=v1_pos,
+            dv0=dv0(r, a),
+            dv1_pos=dv1(r[1:], a),
+            weight0=r * v0_all,
+            weight1_pos=r[1:] * v1_pos,
+            h0=h0_profile(params, grid),
+        )
+
+    def step(self, prev):
+        """One application of the fixed-point operator to prev's slope.
+
+        Defect-corrected quadrature (see module docstring): returns
+        h0 + c [v0 * int_r^1 t v1 (P-1) + v1 * int_0^r t v0 (P-1)]
+        with composite trapezoid prefix/suffix sums, O(n) for all nodes.
+        At r = 0 the v1-weighted term vanishes (r^2 log r); at r = 1 the
+        elevation is pinned to 0. The slope uses the same integrals
+        against v0', v1' (the boundary contributions of differentiating
+        the limits cancel by construction).
+        """
+        n = self.grid.n_nodes
+        delta = self.grid.spacing
+        c = self.c
+
+        excess = 1.0 / np.sqrt(1.0 + prev.dh * prev.dh) - 1.0  # P(h') - 1 in (-1, 0]
+        if not np.all(np.isfinite(excess)):
+            raise ValueError("non-finite integrand in Picard quadrature")
+
+        g0 = self.weight0 * excess
+        g1 = np.empty(n)
+        g1[0] = 0.0  # t v1(t)(P-1) -> 0 as t -> 0
+        g1[1:] = self.weight1_pos * excess[1:]
+
+        panels0 = 0.5 * delta * (g0[:-1] + g0[1:])
+        panels1 = 0.5 * delta * (g1[:-1] + g1[1:])
+        inner = np.zeros(n)  # int_0^r t v0 (P-1)
+        inner[1:] = np.cumsum(panels0)
+        outer = np.zeros(n)  # int_r^1 t v1 (P-1)
+        outer[:-1] = np.cumsum(panels1[::-1])[::-1]
+
+        base = self.h0
+        h = np.empty(n)
+        h[0] = base.h[0] + c * outer[0]  # v0(0) = 1 and v1-term limit 0
+        h[1:-1] = base.h[1:-1] + c * (
+            self.v0[1:-1] * outer[1:-1] + self.v1_pos[:-1] * inner[1:-1]
+        )
+        h[-1] = 0.0
+
+        dh = np.empty(n)
+        dh[0] = 0.0
+        dh[1:] = base.dh[1:] + c * (self.dv0[1:] * outer[1:] + self.dv1_pos * inner[1:])
+
+        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(dh))):
+            raise ValueError("non-finite result in Picard quadrature")
+        return RadialProfile(grid=self.grid, h=h, dh=dh)
+
+    def envelope(self, profile, first):
+        """The envelope verdict and A for profile, given the first iterate
+        h1 = step(h0); see envelope_check for the inequalities."""
+        slack = 1e-9
+        constant_a = _envelope_constant(self.params)
+        base = self.h0
+        lower_factor = 2.0 - 1.0 / self.i0
+        ok = bool(
+            np.all(constant_a * first.h - slack <= profile.h)
+            and np.all(profile.h <= base.h + slack)
+            and np.all(profile.h >= 0.0)
+            and np.all(profile.dh <= 0.0)
+            and np.all(lower_factor * base.dh - slack <= profile.dh)
+        )
+        return ok, constant_a
+
+
 def picard_step(params, prev):
     """One application of the fixed-point operator to prev's slope.
 
-    Defect-corrected quadrature (see module docstring): returns
-    h0 + (b/I0(sqrt(a))) [v0 * int_r^1 t v1 (P-1) + v1 * int_0^r t v0 (P-1)]
-    with composite trapezoid prefix/suffix sums, O(n) for all nodes.
-    At r = 0 the v1-weighted term vanishes (r^2 log r); at r = 1 the
-    elevation is pinned to 0. The slope uses the same integrals against
-    v0', v1' (the boundary contributions of differentiating the limits
-    cancel by construction).
+    Builds a solver plan for prev's grid and takes one step on it; see
+    _SolverPlan.step for the quadrature. A loop should build the plan
+    once instead, as solve does.
     """
-    grid = prev.grid
-    r = grid.nodes
-    n = grid.n_nodes
-    delta = grid.spacing
-    a, b = params.a, params.b
-    c = b / bessel_i(0, math.sqrt(a))
-
-    excess = 1.0 / np.sqrt(1.0 + prev.dh * prev.dh) - 1.0  # P(h') - 1 in (-1, 0]
-    if not np.all(np.isfinite(excess)):
-        raise ValueError("non-finite integrand in Picard quadrature")
-
-    v0_all = v0(r, a)
-    v1_pos = v1(r[1:], a)  # v1 diverges at r = 0; the r = 0 limits are explicit below
-    g0 = r * v0_all * excess
-    g1 = np.empty(n)
-    g1[0] = 0.0  # t v1(t)(P-1) -> 0 as t -> 0
-    g1[1:] = r[1:] * v1_pos * excess[1:]
-
-    panels0 = 0.5 * delta * (g0[:-1] + g0[1:])
-    panels1 = 0.5 * delta * (g1[:-1] + g1[1:])
-    inner = np.zeros(n)  # int_0^r t v0 (P-1)
-    inner[1:] = np.cumsum(panels0)
-    outer = np.zeros(n)  # int_r^1 t v1 (P-1)
-    outer[:-1] = np.cumsum(panels1[::-1])[::-1]
-
-    base = h0_profile(params, grid)
-    h = np.empty(n)
-    h[0] = base.h[0] + c * outer[0]  # v0(0) = 1 and v1-term limit 0
-    h[1:-1] = base.h[1:-1] + c * (v0_all[1:-1] * outer[1:-1] + v1_pos[:-1] * inner[1:-1])
-    h[-1] = 0.0
-
-    dh = np.empty(n)
-    dh[0] = 0.0
-    dv0_all = dv0(r, a)
-    dv1_pos = dv1(r[1:], a)
-    dh[1:] = base.dh[1:] + c * (dv0_all[1:] * outer[1:] + dv1_pos * inner[1:])
-
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(dh))):
-        raise ValueError("non-finite result in Picard quadrature")
-    return RadialProfile(grid=grid, h=h, dh=dh)
+    return _SolverPlan.build(params, prev.grid).step(prev)
 
 
 def solve(params, grid, tol=1e-10, max_iter=50, enforce_bound=False):
-    """Iterate picard_step from h0 until the sup-norm update is <= tol.
+    """Iterate the Picard step from h0 until the sup-norm update is <= tol.
 
-    With enforce_bound the contraction condition b < theorem1_b_max(a)
-    is required and its violation raises BoundViolation; otherwise a
-    violation only warns (the condition is sufficient, not necessary)
-    and iteration proceeds. Raises NoConvergence when max_iter is
-    exhausted.
+    The kernel tables, h0 and the admissibility report are built once
+    per call. With enforce_bound the contraction condition
+    b < theorem1_b_max(a) is required and its violation raises
+    BoundViolation; otherwise a violation only warns (the condition is
+    sufficient, not necessary) and iteration proceeds. Raises
+    NoConvergence when max_iter is exhausted.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
-    report = admissibility(params)
+    plan = _SolverPlan.build(params, grid)
+    report = plan.admissibility_report
     if not report.theorem1_ok:
         if enforce_bound:
             raise BoundViolation(
@@ -219,11 +303,13 @@ def solve(params, grid, tol=1e-10, max_iter=50, enforce_bound=False):
             stacklevel=2,
         )
 
-    prev = h0_profile(params, grid)
+    prev = plan.h0
     sup_diff = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        current = picard_step(params, prev)
+        current = plan.step(prev)
+        if iterations == 1:
+            first = current
         sup_diff = float(np.max(np.abs(current.h - prev.h)))
         prev = current
         if sup_diff <= tol:
@@ -235,7 +321,7 @@ def solve(params, grid, tol=1e-10, max_iter=50, enforce_bound=False):
 
     residual = residual_sup(params, prev)
     if report.lemma_ok:
-        envelope_ok, constant_a = envelope_check(params, prev)
+        envelope_ok, constant_a = plan.envelope(prev, first)
     else:
         envelope_ok, constant_a = False, _envelope_constant(params)
     return SolveReport(
@@ -245,6 +331,8 @@ def solve(params, grid, tol=1e-10, max_iter=50, enforce_bound=False):
         residual_sup=residual,
         envelope_ok=envelope_ok,
         envelope_constant_A=constant_a,
+        h0=plan.h0,
+        h1=first,
     )
 
 
@@ -283,29 +371,23 @@ def envelope_check(params, profile):
     where h1 is one Picard step from h0 and
     A = (1 + h0'(1)^2)/(1 + (2 - 1/I0(sqrt(a))) h0'(1)^2).
     Requires b <= lemma_b_max(a); otherwise the inequalities are not
-    claimed and HypothesisViolation is raised.
+    claimed and HypothesisViolation is raised. solve runs the same check
+    on its own plan and first iterate.
     """
-    report = admissibility(params)
+    plan = _SolverPlan.build(params, profile.grid)
+    report = plan.admissibility_report
     if not report.lemma_ok:
         raise HypothesisViolation(
             f"b = {params.b:g} exceeds lemma_b_max(a) = {report.lemma_b_max:g}"
         )
-    slack = 1e-9
-    constant_a = _envelope_constant(params)
-    base = h0_profile(params, profile.grid)
-    first = picard_step(params, base)
-    lower_factor = 2.0 - 1.0 / bessel_i(0, math.sqrt(params.a))
-    ok = bool(
-        np.all(constant_a * first.h - slack <= profile.h)
-        and np.all(profile.h <= base.h + slack)
-        and np.all(profile.h >= 0.0)
-        and np.all(profile.dh <= 0.0)
-        and np.all(lower_factor * base.dh - slack <= profile.dh)
-    )
-    return ok, constant_a
+    return plan.envelope(profile, plan.step(plan.h0))
 
 
-def fd_oracle(params, grid, tol=1e-10, *, linearize=False):
+# fd_oracle's default tol over its noise floor eps max|h0| / delta^2.
+_FD_FLOOR_FACTOR = 4.0
+
+
+def fd_oracle(params, grid, tol=None, *, linearize=False):
     """Independent finite-difference solution by damped Newton.
 
     Discretizes the equation with the conservative stencil used by
@@ -316,10 +398,14 @@ def fd_oracle(params, grid, tol=1e-10, *, linearize=False):
     pressure projection is frozen at P == 1 (a self-check: the result
     must approach h0 at the discretization rate).
 
-    The default tol leaves headroom over the float64 noise floor of the
-    residual evaluation, which is O(eps h / delta^2) ~ 1e-11 on fine
-    grids; Newton converges quadratically, so the extra digits below
-    1e-10 would cost a stall, not accuracy.
+    The residual cannot be driven below the float64 noise floor of its
+    own evaluation, eps max|h0| / delta^2 up to a factor near 1
+    (measured 0.8-1.5 on n = 201 .. 16001; the floor is 1.6e-9 at
+    n = 4001). The default tol is max(1e-10, 4 eps max|h0| / delta^2):
+    1e-10 on coarse grids (n <= 401 at the paper's parameters), and a
+    margin of about 3x over the floor on fine ones. Newton converges
+    quadratically, so digits below the floor would cost a stall, not
+    accuracy. An explicit tol is used as given, even below the floor.
     """
     r = grid.nodes
     n = grid.n_nodes
@@ -346,6 +432,9 @@ def fd_oracle(params, grid, tol=1e-10, *, linearize=False):
 
     h = _h0_values(params, r)
     h[-1] = 0.0
+    if tol is None:
+        floor = np.finfo(float).eps * float(np.max(np.abs(h))) / delta2
+        tol = max(1e-10, _FD_FLOOR_FACTOR * floor)
     f, slope = residual_vector(h)
     sup = float(np.max(np.abs(f)))
     for _ in range(50):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from corneafit.cli import main
+from corneafit.cli import _write_csv, main
 from corneafit.data import SurfaceMesh, write_mesh
 
 
@@ -86,6 +86,25 @@ class TestSolveCommand:
         code, _, stderr = run(capsys, "solve", "--a", "-1", "--b", "2")
         assert code == 2
         assert "error:" in stderr
+
+
+class TestCsvWriter:
+    def test_text_matches_per_value_format(self, tmp_path):
+        # special values, then enough rows to span several write blocks
+        noise = np.random.default_rng(0).standard_normal((2, 1200)) * 1e3
+        first = np.concatenate([[0.0, -0.0, 5e-324, 2.2250738585072014e-308, -1.5,
+                                 1.7976931348623157e308, np.nan, np.inf, -np.inf, 0.1],
+                                noise[0]])
+        second = np.concatenate([[1.0 / 3.0, -2.5e-7, 1e16, 1e17, 123456789.125,
+                                  -0.0, 1e-5, np.nan, 7.0, -1e-300],
+                                 noise[1]])
+        path = tmp_path / "table.csv"
+        _write_csv(str(path), ["x", "y"], [first, second])
+        expected = "x,y\n" + "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n"
+            for row in zip(first, second)
+        )
+        assert path.read_text() == expected
 
 
 class TestBoundsCommand:

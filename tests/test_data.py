@@ -116,6 +116,21 @@ class TestTextFormat:
         assert excinfo.value.line == 3
         assert excinfo.value.column == 2
 
+    def test_ragged_row_after_blank_lines_reports_its_file_line(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text("2 3 1.0 1.0 0.0 0.0\n\n1.0 2.0 3.0\n\n4.0 5.0\n")
+        with pytest.raises(DimensionMismatch) as excinfo:
+            read_mesh(path)
+        assert excinfo.value.line == 5
+
+    def test_bad_token_after_blank_lines_reports_its_file_line(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text("2 3 1.0 1.0 0.0 0.0\n\n \n1.0 2.0 3.0\n4.0 oops 6.0\n")
+        with pytest.raises(ParseError) as excinfo:
+            read_mesh(path)
+        assert excinfo.value.line == 5
+        assert excinfo.value.column == 2
+
     def test_dimension_mismatch_is_a_parse_error(self):
         assert issubclass(DimensionMismatch, ParseError)
 

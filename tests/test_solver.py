@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from corneafit import cli, solver
 from corneafit.errors import BoundViolation, HypothesisViolation, NoConvergence
 from corneafit.kernel import (
     ModelParams,
@@ -36,6 +37,8 @@ from corneafit.solver import (
 from corneafit.special import bessel_i
 
 TWO_TWO = ModelParams(a=2.0, b=2.0)
+# (2, 2) and the two published operating points
+REFERENCE_PAIRS = [(2.0, 2.0), (2.07883, 2.76741), (1.94398, 2.27534)]
 
 
 class TestRadialGrid:
@@ -255,6 +258,70 @@ class TestSolve:
                 assert after <= factor * before + 1e-12
 
 
+def _count_calls(monkeypatch, names):
+    """Count calls of the named corneafit.solver functions, through the
+    solver's own bindings and the cli's."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(solver, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (solver, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSolverPlan:
+    def test_each_kernel_table_built_once_per_solve(self, monkeypatch):
+        calls = _count_calls(monkeypatch, ("v0", "v1", "dv0", "dv1"))
+        report = solve(TWO_TWO, RadialGrid.uniform(401))
+        assert report.iterations >= 9
+        assert calls == {"v0": 1, "v1": 1, "dv0": 1, "dv1": 1}
+
+    def test_solve_command_adds_no_picard_step_or_h0_profile(self, monkeypatch, tmp_path):
+        # the CSV's h0 and A h1 columns come from the SolveReport; the only
+        # h0_profile call is the one solve's plan makes
+        calls = _count_calls(monkeypatch, ("picard_step", "h0_profile"))
+        cli.cmd_solve(2.0, 2.0, out_path=str(tmp_path / "profile.csv"))
+        assert calls == {"picard_step": 0, "h0_profile": 1}
+
+    def test_report_carries_h0_and_first_iterate(self):
+        grid = RadialGrid.uniform(401)
+        report = solve(TWO_TWO, grid)
+        base = h0_profile(TWO_TWO, grid)
+        first = picard_step(TWO_TWO, base)
+        np.testing.assert_array_equal(report.h0.h, base.h)
+        np.testing.assert_array_equal(report.h0.dh, base.dh)
+        np.testing.assert_array_equal(report.h1.h, first.h)
+        np.testing.assert_array_equal(report.h1.dh, first.dh)
+
+    @pytest.mark.parametrize("n", [401, 4001])
+    @pytest.mark.parametrize("a,b", REFERENCE_PAIRS)
+    def test_solve_equals_step_by_step_iteration(self, a, b, n):
+        # the public one-step route, rebuilding everything per step, is the
+        # reference the plan must reproduce bit for bit
+        params = ModelParams(a=a, b=b)
+        grid = RadialGrid.uniform(n)
+        report = solve(params, grid)
+        prev = h0_profile(params, grid)
+        for iterations in range(1, 51):
+            current = picard_step(params, prev)
+            sup_diff = float(np.max(np.abs(current.h - prev.h)))
+            prev = current
+            if sup_diff <= 1e-10:
+                break
+        np.testing.assert_array_equal(report.profile.h, prev.h)
+        np.testing.assert_array_equal(report.profile.dh, prev.dh)
+        assert report.iterations == iterations
+        assert report.final_sup_diff == sup_diff
+        assert report.residual_sup == residual_sup(params, prev)
+        assert (report.envelope_ok, report.envelope_constant_A) == envelope_check(params, prev)
+
+
 class TestResidual:
     def test_converged_residual_small(self):
         report = solve(TWO_TWO, RadialGrid.uniform(401))
@@ -347,6 +414,23 @@ class TestFdOracle:
         # the discrete residual cannot be driven below float64 noise
         with pytest.raises(NoConvergence):
             fd_oracle(TWO_TWO, RadialGrid.uniform(401), tol=1e-16)
+
+    @pytest.mark.parametrize("a,b", REFERENCE_PAIRS)
+    def test_default_tolerance_converges_on_fine_grid(self, a, b):
+        # a fixed 1e-10 lies below the residual's float64 floor here (~1.6e-9)
+        params = ModelParams(a=a, b=b)
+        grid = RadialGrid.uniform(4001)
+        newton = fd_oracle(params, grid)
+        picard = solve(params, grid).profile
+        assert np.max(np.abs(picard.h - newton.h)) <= 1e-8
+
+    @pytest.mark.parametrize("a,b", REFERENCE_PAIRS)
+    def test_default_tolerance_is_1e10_on_coarse_grid(self, a, b):
+        params = ModelParams(a=a, b=b)
+        grid = RadialGrid.uniform(401)
+        np.testing.assert_array_equal(
+            fd_oracle(params, grid).h, fd_oracle(params, grid, tol=1e-10).h
+        )
 
     def test_boundary_conditions(self):
         profile = fd_oracle(TWO_TWO, RadialGrid.uniform(101))
