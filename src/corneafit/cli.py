@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .data import SurfaceMesh, SynthSpec, generate_synthetic, read_mesh, write_mesh
+from .data import (
+    SurfaceMesh,
+    SynthSpec,
+    _read_ascii,
+    generate_synthetic,
+    read_mesh,
+    write_mesh,
+)
 from .errors import (
     ApexNotFound,
     BoundViolation,
@@ -34,13 +41,12 @@ from .fit import (
     DomainEllipse,
     FitOptions,
     ModelSurface,
-    _measure_apex,
+    _recentred,
     axial_distance_map,
-    elliptical_radius,
     fit_mesh,
 )
 from .kernel import ModelParams, lemma_b_max, theorem1_b_max
-from .solver import RadialGrid, _h0_values, solve
+from .solver import RadialGrid, solve
 
 
 @dataclass(frozen=True)
@@ -198,6 +204,19 @@ def cmd_synth(a, b, ecc2=0.0, scale_radius=5.5, noise_sigma=0.0, seed=0,
     )
 
 
+def _same_grid(mesh, z):
+    """A mesh on mesh's grid holding z."""
+    return SurfaceMesh(
+        n_x=mesh.n_x,
+        n_y=mesh.n_y,
+        spacing_x=mesh.spacing_x,
+        spacing_y=mesh.spacing_y,
+        origin_x=mesh.origin_x,
+        origin_y=mesh.origin_y,
+        z=z,
+    )
+
+
 def cmd_fit(mesh_path, options=None, out_path=None):
     start = time.perf_counter()
     if options is None:
@@ -205,14 +224,13 @@ def cmd_fit(mesh_path, options=None, out_path=None):
     mesh = read_mesh(mesh_path)
     result = fit_mesh(mesh, options)
 
-    apex_x, apex_y, _, _ = _measure_apex(mesh, options)
     outputs = {
         "a_nondim": result.params.a,
         "b_nondim": result.params.b,
         "signed_ecc_sq_nondim": result.ellipse.signed_ecc_sq,
         "scale_radius_mm": result.scale_radius,
-        "apex_x_mm": float(apex_x),
-        "apex_y_mm": float(apex_y),
+        "apex_x_mm": result.apex_x_mm,
+        "apex_y_mm": result.apex_y_mm,
         "mean_abs_error_mm": result.mean_abs_error_mm,
         "mean_rel_error_nondim": result.mean_rel_error,
         "axial_mean_abs_error_mm": result.axial_mean_abs_error_mm,
@@ -221,26 +239,7 @@ def cmd_fit(mesh_path, options=None, out_path=None):
         "error_summary": result.error_summary(),
     }
     if out_path is not None:
-        grid_x, grid_y = np.meshgrid(mesh.x_coords, mesh.y_coords)
-        rel = elliptical_radius(
-            grid_x - apex_x, grid_y - apex_y, result.ellipse
-        ) / result.scale_radius
-        use = mesh.valid & (rel <= 1.0)
-        errors = np.full(mesh.z.shape, np.nan)
-        errors[use] = np.abs(
-            mesh.z[use]
-            - result.scale_radius * _h0_values(result.params, np.clip(rel[use], 0.0, 1.0))
-        )
-        error_mesh = SurfaceMesh(
-            n_x=mesh.n_x,
-            n_y=mesh.n_y,
-            spacing_x=mesh.spacing_x,
-            spacing_y=mesh.spacing_y,
-            origin_x=mesh.origin_x,
-            origin_y=mesh.origin_y,
-            z=errors,
-        )
-        write_mesh(error_mesh, out_path + ".errors")
+        write_mesh(_same_grid(mesh, result.error_grid_mm), out_path + ".errors")
         outputs["report_path"] = out_path
         outputs["errors_mesh_path"] = out_path + ".errors"
 
@@ -259,12 +258,22 @@ def cmd_fit(mesh_path, options=None, out_path=None):
 
 def _parse_report(path):
     entries = {}
-    with open(path, "r", encoding="ascii") as handle:
-        for raw in handle:
-            key, sep, value = raw.rstrip("\n").partition(" = ")
-            if sep:
-                entries[key] = value
+    for raw in _read_ascii(path).splitlines():
+        key, sep, value = raw.partition(" = ")
+        if sep:
+            entries[key] = value
     return entries
+
+
+def _report_float(entries, key):
+    try:
+        text = entries[key]
+    except KeyError:
+        raise ParseError(f"fit report is missing key {key!r}") from None
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"fit report value of {key} is not a number: {text!r}") from None
 
 
 def cmd_axial(mesh_path, fit_path=None, out_path=None, gradient_floor=1e-8):
@@ -287,23 +296,14 @@ def cmd_axial(mesh_path, fit_path=None, out_path=None, gradient_floor=1e-8):
     else:
         inputs["fit_path"] = fit_path
         entries = _parse_report(fit_path)
-        try:
-            params = ModelParams(a=float(entries["a_nondim"]), b=float(entries["b_nondim"]))
-            ellipse = DomainEllipse.from_signed_ecc_sq(float(entries["signed_ecc_sq_nondim"]))
-            scale = float(entries["scale_radius_mm"])
-            apex_x = float(entries["apex_x_mm"])
-            apex_y = float(entries["apex_y_mm"])
-        except KeyError as exc:
-            raise ParseError(f"fit report is missing key {exc}") from None
-        source = SurfaceMesh(
-            n_x=mesh.n_x,
-            n_y=mesh.n_y,
-            spacing_x=mesh.spacing_x,
-            spacing_y=mesh.spacing_y,
-            origin_x=mesh.origin_x - apex_x,
-            origin_y=mesh.origin_y - apex_y,
-            z=mesh.z,
+        a, b, signed_ecc_sq, scale, apex_x, apex_y = (
+            _report_float(entries, key)
+            for key in ("a_nondim", "b_nondim", "signed_ecc_sq_nondim",
+                        "scale_radius_mm", "apex_x_mm", "apex_y_mm")
         )
+        params = ModelParams(a=a, b=b)
+        ellipse = DomainEllipse.from_signed_ecc_sq(signed_ecc_sq)
+        source = _recentred(mesh, apex_x, apex_y)
         d_mesh = axial_distance_map(source, ellipse, gradient_floor=gradient_floor)
         d_model = axial_distance_map(
             ModelSurface(params=params, scale_radius=scale, template=source),
@@ -322,21 +322,12 @@ def cmd_axial(mesh_path, fit_path=None, out_path=None, gradient_floor=1e-8):
                 np.abs(d_mesh[common] - d_model[common]).mean()
             )
     if out_path is not None:
-        geometry = dict(
-            n_x=mesh.n_x,
-            n_y=mesh.n_y,
-            spacing_x=mesh.spacing_x,
-            spacing_y=mesh.spacing_y,
-            origin_x=mesh.origin_x,
-            origin_y=mesh.origin_y,
-        )
-        write_mesh(SurfaceMesh(z=d_mesh, **geometry), out_path)
+        write_mesh(_same_grid(mesh, d_mesh), out_path)
         outputs["d_mesh_path"] = out_path
         if d_model is not None:
             diff = np.full(d_mesh.shape, np.nan)
-            common = defined & np.isfinite(d_model)
             diff[common] = np.abs(d_mesh[common] - d_model[common])
-            write_mesh(SurfaceMesh(z=diff, **geometry), out_path + ".errors")
+            write_mesh(_same_grid(mesh, diff), out_path + ".errors")
             outputs["errors_mesh_path"] = out_path + ".errors"
 
     return RunReport(

@@ -173,15 +173,26 @@ def _file_line(lines, row):
     return numbers[row]
 
 
+def _read_ascii(path):
+    """The text of an ASCII file; a non-ASCII byte raises ParseError
+    naming its line."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"non-ASCII byte 0x{raw[exc.start]:02x}", line=line) from None
+
+
 def read_mesh(path):
     """Parse the text format; see the module docstring.
 
-    Raises ParseError for malformed headers or tokens (with line and
-    column) and DimensionMismatch when the body disagrees with the
-    declared shape.
+    Raises ParseError for non-ASCII bytes, malformed headers or tokens
+    (with line and column) and DimensionMismatch when the body disagrees
+    with the declared shape.
     """
-    with open(path, "r", encoding="ascii") as handle:
-        lines = handle.read().splitlines()
+    lines = _read_ascii(path).splitlines()
     if not lines or not lines[0].strip():
         raise ParseError("empty mesh file", line=1)
 
@@ -240,11 +251,13 @@ def read_mesh(path):
 
 def write_mesh(mesh, path):
     """Write the text format with 17 significant digits (bit-exact)."""
+    # One %-format per row over Python floats gives the same text as
+    # format(v, ".17g") per value, nan and inf included. Converting a row
+    # at a time keeps one row of Python floats alive, not the whole mesh.
+    row_format = " ".join(["%.17g"] * mesh.n_x) + "\n"
     with open(path, "w", encoding="ascii") as handle:
         handle.write(
             f"{mesh.n_y} {mesh.n_x} {mesh.spacing_x:.17g} {mesh.spacing_y:.17g} "
             f"{mesh.origin_x:.17g} {mesh.origin_y:.17g}\n"
         )
-        for i in range(mesh.n_y):
-            handle.write(" ".join(format(v, ".17g") for v in mesh.z[i]))
-            handle.write("\n")
+        handle.writelines(row_format % tuple(row.tolist()) for row in mesh.z)

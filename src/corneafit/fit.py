@@ -25,7 +25,7 @@ gradient norm below a floor are masked to NaN rather than reported.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,6 +120,13 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Calibrated model and error statistics of one fit_mesh call.
+
+    apex_x_mm and apex_y_mm locate the fitted apex in the mesh's
+    coordinates. error_grid_mm has the mesh's shape: |z - model| at the
+    n_points_used points the elevation statistics cover, NaN elsewhere.
+    """
+
     params: ModelParams
     ellipse: DomainEllipse
     scale_radius: float
@@ -128,6 +135,9 @@ class FitResult:
     axial_mean_abs_error_mm: float
     axial_mean_rel_error: float
     n_points_used: int
+    apex_x_mm: float = field(default=0.0, compare=False)
+    apex_y_mm: float = field(default=0.0, compare=False)
+    error_grid_mm: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         errors = (
@@ -172,14 +182,26 @@ def calibrate_b(a, rho0_nondim):
     return 2.0 * bessel_i(0, math.sqrt(a)) / rho0_nondim
 
 
+def _calibration_scan(half_product):
+    """g(a) = half_product a - I0(sqrt(a)) + 1 on the 600-point scan grid.
+
+    One array Bessel call; the values equal the scalar g(a), node by node.
+    """
+    grid = np.geomspace(1e-8, 100.0, 600)
+    return grid, half_product * grid - bessel_i(0, np.sqrt(grid)) + 1.0
+
+
 def calibrate_a(h00_nondim, rho0_nondim):
     """Smallest positive root of g(a) = (1/2) h00 rho0 a - I0(sqrt(a)) + 1.
 
     g(0) = 0 always, so the trivial root is excluded by scanning
-    (1e-8, 100] for a sign change, then bisecting and polishing with
-    Newton to |g| <= 1e-12. Raises NoRoot when the scan finds no sign
-    change, which signals measurements inconsistent with the model
-    (h00 rho0 <= 1/2 leaves g negative everywhere).
+    (1e-8, 100] for the first sign change from g > 0 to g <= 0, then
+    polishing with Newton to |g| <= 1e-12 inside that bracket: each
+    iterate shrinks the bracket, and a step that would leave it is
+    replaced by the bracket midpoint. Raises NoRoot when the scan finds
+    no sign change, which signals measurements inconsistent with the
+    model (h00 rho0 <= 1/2 leaves g negative everywhere), and
+    NoConvergence when the polish cannot reach the tolerance.
     """
     if not (h00_nondim > 0.0 and math.isfinite(h00_nondim)):
         raise ValueError("h00_nondim must be positive and finite")
@@ -194,37 +216,26 @@ def calibrate_a(h00_nondim, rho0_nondim):
         root = math.sqrt(a)
         return half_product - bessel_i(1, root) / (2.0 * root)
 
-    grid = np.geomspace(1e-8, 100.0, 600)
-    values = np.array([g(a) for a in grid])
-    bracket = None
-    for i in range(grid.size - 1):
-        if values[i] > 0.0 and values[i + 1] <= 0.0:
-            bracket = (grid[i], grid[i + 1])
-            break
-    if bracket is None:
+    grid, values = _calibration_scan(half_product)
+    falls = np.flatnonzero((values[:-1] > 0.0) & (values[1:] <= 0.0))
+    if falls.size == 0:
         raise NoRoot("no sign change of the calibration function in (1e-8, 100]")
 
-    lo, hi = bracket  # g(lo) > 0 >= g(hi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = float(grid[falls[0]]), float(grid[falls[0] + 1])  # g(lo) > 0 >= g(hi)
     a = 0.5 * (lo + hi)
-    for _ in range(8):
+    # a scan bracket (about 4% wide) reaches float resolution after about
+    # 55 midpoint steps, so 80 suffice even if every Newton step is rejected
+    for _ in range(80):
         value = g(a)
         if abs(value) <= 1e-12:
             return a
+        if value > 0.0:
+            lo = a
+        else:
+            hi = a
         slope = dg(a)
-        if slope == 0.0:
-            break
-        trial = a - value / slope
-        if not lo * 0.5 <= trial <= hi * 2.0:
-            break
-        a = trial
-    if abs(g(a)) <= 1e-12:
-        return a
+        trial = a - value / slope if slope != 0.0 else math.nan
+        a = trial if lo < trial < hi else 0.5 * (lo + hi)
     raise NoConvergence("calibration root polish did not reach |g| <= 1e-12")
 
 
@@ -316,18 +327,44 @@ def _measure_apex(mesh, options):
 
 
 def _level_crossings(coords, values, valid, level):
-    """1D linear-interpolation crossings of values == level on valid pairs."""
-    crossings = []
-    for j in range(values.size - 1):
-        if not (valid[j] and valid[j + 1]):
-            continue
-        s0, s1 = values[j] - level, values[j + 1] - level
-        if s0 == 0.0:
-            crossings.append(coords[j])
-        elif s0 * s1 < 0.0:
-            t = s0 / (s0 - s1)
-            crossings.append(coords[j] + t * (coords[j + 1] - coords[j]))
-    return crossings
+    """Linear-interpolation crossings of values == level along every row.
+
+    values and valid are 2-D; coords gives the position of each column.
+    A pair of adjacent valid samples yields a crossing at its first
+    sample when that sample lies exactly on the level, else where the
+    straight line between the two passes the level, if it does. Returns
+    (row index, position) arrays ordered by row, then along the row.
+    """
+    offset = values - level
+    first, second = offset[:, :-1], offset[:, 1:]
+    pairs = valid[:, :-1] & valid[:, 1:]
+    with np.errstate(invalid="ignore"):
+        on_level = pairs & (first == 0.0)
+        hit = on_level | (pairs & (first * second < 0.0))
+    rows, cols = np.nonzero(hit)
+    positions = coords[cols]
+    between = ~on_level[rows, cols]
+    s0 = first[rows[between], cols[between]]
+    s1 = second[rows[between], cols[between]]
+    start = positions[between]
+    t = s0 / (s0 - s1)
+    positions[between] = start + t * (coords[cols[between] + 1] - start)
+    return rows, positions
+
+
+def _level_curve_points(mesh, center, level):
+    """Crossings of z == level along every row, then every column, as
+    (x, y) arrays relative to center.
+
+    Row crossings come by row, then x; column crossings by column, then
+    y. The order fixes the ellipse's normal-equation sums bit for bit.
+    """
+    x, y = mesh.x_coords, mesh.y_coords
+    rows, row_x = _level_crossings(x, mesh.z, mesh.valid, level)
+    cols, col_y = _level_crossings(y, mesh.z.T, mesh.valid.T, level)
+    u = np.concatenate([row_x - center[0], x[cols] - center[0]])
+    v = np.concatenate([y[rows] - center[1], col_y - center[1]])
+    return u, v
 
 
 def estimate_ellipse(mesh, level_fraction=0.5, *, center=None, level=None):
@@ -351,21 +388,9 @@ def estimate_ellipse(mesh, level_fraction=0.5, *, center=None, level=None):
                 raise ValueError("level_fraction must lie in (0, 1)")
             level = level_fraction * height
 
-    x, y = mesh.x_coords, mesh.y_coords
-    points_u, points_v = [], []
-    for i in range(mesh.n_y):
-        for u in _level_crossings(x, mesh.z[i], mesh.valid[i], level):
-            points_u.append(u - center[0])
-            points_v.append(y[i] - center[1])
-    for j in range(mesh.n_x):
-        for v in _level_crossings(y, mesh.z[:, j], mesh.valid[:, j], level):
-            points_u.append(x[j] - center[0])
-            points_v.append(v - center[1])
-
-    if len(points_u) < 8:
-        raise DegenerateLevelSet(f"only {len(points_u)} level-curve points")
-    u = np.array(points_u)
-    v = np.array(points_v)
+    u, v = _level_curve_points(mesh, center, level)
+    if u.size < 8:
+        raise DegenerateLevelSet(f"only {u.size} level-curve points")
     u2, v2 = u * u, v * v
     normal = np.array([[np.sum(u2 * u2), np.sum(u2 * v2)], [np.sum(u2 * v2), np.sum(v2 * v2)]])
     rhs = np.array([np.sum(u2), np.sum(v2)])
@@ -390,7 +415,9 @@ def fit_mesh(mesh, options=None):
     the scale then calibrate a and b, and the model surface
     S h0(elliptical radius / S) is compared against the data; axial
     distance statistics are computed over points where both the mesh
-    and model maps are defined, outside apex_mask_radius.
+    and model maps are defined, outside apex_mask_radius. Each stage
+    runs once; the result also carries the apex position and the
+    per-point elevation error grid.
     """
     if options is None:
         options = FitOptions()
@@ -418,16 +445,10 @@ def fit_mesh(mesh, options=None):
     abs_errors = np.abs(mesh.z[use] - model_z)
     mean_abs = float(abs_errors.mean())
     mean_rel = mean_abs / height_mm
+    error_grid = np.full(mesh.z.shape, np.nan)
+    error_grid[use] = abs_errors
 
-    shifted = SurfaceMesh(
-        n_x=mesh.n_x,
-        n_y=mesh.n_y,
-        spacing_x=mesh.spacing_x,
-        spacing_y=mesh.spacing_y,
-        origin_x=mesh.origin_x - apex_x,
-        origin_y=mesh.origin_y - apex_y,
-        z=mesh.z,
-    )
+    shifted = _recentred(mesh, apex_x, apex_y)
     d_mesh = axial_distance_map(shifted, ellipse, gradient_floor=options.gradient_floor)
     d_model = axial_distance_map(
         ModelSurface(params=params, scale_radius=scale, template=shifted),
@@ -450,6 +471,22 @@ def fit_mesh(mesh, options=None):
         axial_mean_abs_error_mm=axial_mean_abs,
         axial_mean_rel_error=axial_mean_rel,
         n_points_used=int(use.sum()),
+        apex_x_mm=float(apex_x),
+        apex_y_mm=float(apex_y),
+        error_grid_mm=error_grid,
+    )
+
+
+def _recentred(mesh, apex_x, apex_y):
+    """The mesh with coordinates shifted so the apex is the origin."""
+    return SurfaceMesh(
+        n_x=mesh.n_x,
+        n_y=mesh.n_y,
+        spacing_x=mesh.spacing_x,
+        spacing_y=mesh.spacing_y,
+        origin_x=mesh.origin_x - apex_x,
+        origin_y=mesh.origin_y - apex_y,
+        z=mesh.z,
     )
 
 

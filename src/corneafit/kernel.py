@@ -133,37 +133,46 @@ def v0(r, a):
     return _scalar_like(bessel_i(0, math.sqrt(a) * arr), r)
 
 
-def v1(r, a):
+def v1(r, a, *, _i0_r=None):
     """I0(sqrt(a)) K0(sqrt(a) r) - I0(sqrt(a) r) K0(sqrt(a)) on (0, 1].
 
     Nonnegative, nonincreasing, v1(1) = 0; diverges logarithmically as
-    r -> 0+, so r = 0 is a domain error (see module docstring).
+    r -> 0+, so r = 0 is a domain error (see module docstring). _i0_r is
+    private to the solver plan: I0(sqrt(a) r) already evaluated on r.
     """
     arr = _check_r(r, "v1", exclude_zero=True)
     a = _check_a(a)
     sa = math.sqrt(a)
-    out = bessel_i(0, sa) * bessel_k(0, sa * arr) - bessel_i(0, sa * arr) * bessel_k(0, sa)
+    i0_r = bessel_i(0, sa * arr) if _i0_r is None else _i0_r
+    out = bessel_i(0, sa) * bessel_k(0, sa * arr) - i0_r * bessel_k(0, sa)
     return _scalar_like(out, r)
 
 
-def dv0(r, a):
-    """v0'(r) = sqrt(a) I1(sqrt(a) r); nonnegative on [0, 1]."""
+def dv0(r, a, *, _i1_r=None):
+    """v0'(r) = sqrt(a) I1(sqrt(a) r); nonnegative on [0, 1].
+
+    _i1_r is private to the solver plan: I1(sqrt(a) r) already evaluated
+    on r.
+    """
     arr = _check_r(r, "dv0", exclude_zero=False)
     a = _check_a(a)
     sa = math.sqrt(a)
-    return _scalar_like(sa * bessel_i(1, sa * arr), r)
+    i1_r = bessel_i(1, sa * arr) if _i1_r is None else _i1_r
+    return _scalar_like(sa * i1_r, r)
 
 
-def dv1(r, a):
+def dv1(r, a, *, _i1_r=None):
     """v1'(r) = -sqrt(a) (I0(sqrt(a)) K1(sqrt(a) r) + I1(sqrt(a) r) K0(sqrt(a))).
 
     Nonpositive on (0, 1]; -r * dv1(r) is nonincreasing with limit
-    I0(sqrt(a)) as r -> 0+.
+    I0(sqrt(a)) as r -> 0+. _i1_r is private to the solver plan:
+    I1(sqrt(a) r) already evaluated on r.
     """
     arr = _check_r(r, "dv1", exclude_zero=True)
     a = _check_a(a)
     sa = math.sqrt(a)
-    out = -sa * (bessel_i(0, sa) * bessel_k(1, sa * arr) + bessel_i(1, sa * arr) * bessel_k(0, sa))
+    i1_r = bessel_i(1, sa * arr) if _i1_r is None else _i1_r
+    out = -sa * (bessel_i(0, sa) * bessel_k(1, sa * arr) + i1_r * bessel_k(0, sa))
     return _scalar_like(out, r)
 
 

@@ -29,7 +29,8 @@ makes the zero-slope input reproduce h0 exactly.
 Everything the step needs besides the previous slope depends only on
 (params, grid): the kernel tables v0, v1, v0', v1', the quadrature
 weights t v0 and t v1, h0 with its slope, c = b / I0(sqrt(a)) and the
-admissibility report. A private solver plan evaluates them once; each
+admissibility report. A private solver plan evaluates them once, from
+one I0(sqrt(a) r) and one I1(sqrt(a) r) array shared by all of them; each
 Picard step on the plan is then only the P - 1 integrand, two cumulative
 sums and the recombination. solve builds one plan per call, keeps the
 first iterate h1 and hands the plan's h0 and that h1 to the envelope
@@ -128,16 +129,21 @@ class SolveReport:
     h1: RadialProfile
 
 
-def _h0_values(params, r):
-    # h0(r) = (b/a)(1 - I0(sqrt(a) r)/I0(sqrt(a)))
+def _h0_values(params, r, i0_r=None):
+    # h0(r) = (b/a)(1 - I0(sqrt(a) r)/I0(sqrt(a))); i0_r is I0(sqrt(a) r)
+    # when the caller has already evaluated it
     sa = math.sqrt(params.a)
-    return (params.b / params.a) * (1.0 - bessel_i(0, sa * r) / bessel_i(0, sa))
+    if i0_r is None:
+        i0_r = bessel_i(0, sa * r)
+    return (params.b / params.a) * (1.0 - i0_r / bessel_i(0, sa))
 
 
-def _dh0_values(params, r):
-    # h0'(r) = -(b/sqrt(a)) I1(sqrt(a) r)/I0(sqrt(a))
+def _dh0_values(params, r, i1_r=None):
+    # h0'(r) = -(b/sqrt(a)) I1(sqrt(a) r)/I0(sqrt(a)); i1_r likewise
     sa = math.sqrt(params.a)
-    return -(params.b / sa) * bessel_i(1, sa * r) / bessel_i(0, sa)
+    if i1_r is None:
+        i1_r = bessel_i(1, sa * r)
+    return -(params.b / sa) * i1_r / bessel_i(0, sa)
 
 
 def _envelope_constant(params):
@@ -148,16 +154,17 @@ def _envelope_constant(params):
     return (1.0 + s2) / (1.0 + factor * s2)
 
 
-def h0_profile(params, grid):
+def h0_profile(params, grid, *, _i0_r=None, _i1_r=None):
     """Closed-form linearized solution on the grid (the P == 1 case).
 
     h0(1) = 0 and h0'(0) = 0 hold exactly; the slope is analytic, not
-    differenced.
+    differenced. _i0_r and _i1_r are private to the solver plan:
+    I0(sqrt(a) r) and I1(sqrt(a) r) already evaluated on the nodes.
     """
     r = grid.nodes
-    h = _h0_values(params, r)
+    h = _h0_values(params, r, _i0_r)
     h[-1] = 0.0
-    dh = _dh0_values(params, r)
+    dh = _dh0_values(params, r, _i1_r)
     dh[0] = 0.0
     return RadialProfile(grid=grid, h=h, dh=dh)
 
@@ -185,9 +192,13 @@ class _SolverPlan:
     def build(cls, params, grid):
         r = grid.nodes
         a = params.a
-        i0 = bessel_i(0, math.sqrt(a))
+        sa = math.sqrt(a)
+        i0 = bessel_i(0, sa)
+        # the v0 table is I0(sqrt(a) r); it and I1(sqrt(a) r) are the only
+        # Bessel-I arrays, shared by v1, v0', v1', h0 and h0'
         v0_all = v0(r, a)
-        v1_pos = v1(r[1:], a)
+        i1_r = bessel_i(1, sa * r)
+        v1_pos = v1(r[1:], a, _i0_r=v0_all[1:])
         return cls(
             params=params,
             grid=grid,
@@ -196,11 +207,11 @@ class _SolverPlan:
             c=params.b / i0,
             v0=v0_all,
             v1_pos=v1_pos,
-            dv0=dv0(r, a),
-            dv1_pos=dv1(r[1:], a),
+            dv0=dv0(r, a, _i1_r=i1_r),
+            dv1_pos=dv1(r[1:], a, _i1_r=i1_r[1:]),
             weight0=r * v0_all,
             weight1_pos=r[1:] * v1_pos,
-            h0=h0_profile(params, grid),
+            h0=h0_profile(params, grid, _i0_r=v0_all, _i1_r=i1_r),
         )
 
     def step(self, prev):

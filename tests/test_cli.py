@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from corneafit import cli, fit
 from corneafit.cli import _write_csv, main
 from corneafit.data import SurfaceMesh, write_mesh
 
@@ -221,6 +222,88 @@ class TestFailureModes:
     def test_no_subcommand(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+
+def fit_report(capsys, tmp_path):
+    """A synthetic mesh and the fit report of it, as paths."""
+    mesh_path, fit_path = tmp_path / "mesh.txt", tmp_path / "fit.txt"
+    run(capsys, "synth", "--a", "2", "--b", "2", "--n-x", "61", "--n-y", "61",
+        "--out", str(mesh_path))
+    code, _, _ = run(capsys, "fit", "--mesh", str(mesh_path), "--out", str(fit_path))
+    assert code == 0
+    return mesh_path, fit_path
+
+
+def replace_report_value(path, key, value):
+    lines = path.read_text().splitlines()
+    lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
+             for line in lines]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestBadInputFiles:
+    def test_non_ascii_mesh_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_bytes(b"2 2 1.0 1.0 0.0 0.0\n1.0 2.0\n3.0 \xe9\n")
+        code, _, stderr = run(capsys, "fit", "--mesh", str(path))
+        assert code == 1
+        assert "line 3" in stderr
+
+    def test_non_ascii_fit_report_exits_1(self, capsys, tmp_path):
+        mesh_path, fit_path = fit_report(capsys, tmp_path)
+        fit_path.write_bytes(fit_path.read_bytes() + b"note = caf\xc3\xa9\n")
+        code, _, stderr = run(capsys, "axial", "--mesh", str(mesh_path),
+                              "--fit", str(fit_path))
+        assert code == 1
+        assert stderr.startswith("error:")
+
+    def test_unparsable_report_value_exits_1_naming_the_key(self, capsys, tmp_path):
+        mesh_path, fit_path = fit_report(capsys, tmp_path)
+        replace_report_value(fit_path, "a_nondim", "x")
+        code, _, stderr = run(capsys, "axial", "--mesh", str(mesh_path),
+                              "--fit", str(fit_path))
+        assert code == 1
+        assert "a_nondim" in stderr
+
+    @pytest.mark.parametrize("key,value", [("a_nondim", "nan"), ("a_nondim", "-2"),
+                                           ("signed_ecc_sq_nondim", "1.5")])
+    def test_out_of_range_report_value_exits_2(self, capsys, tmp_path, key, value):
+        mesh_path, fit_path = fit_report(capsys, tmp_path)
+        replace_report_value(fit_path, key, value)
+        code, _, stderr = run(capsys, "axial", "--mesh", str(mesh_path),
+                              "--fit", str(fit_path))
+        assert code == 2
+        assert stderr.startswith("error:")
+
+
+class TestOnePassFit:
+    def test_fit_command_measures_the_apex_once(self, capsys, monkeypatch, tmp_path):
+        mesh_path = tmp_path / "mesh.txt"
+        run(capsys, "synth", "--a", "2", "--b", "2", "--n-x", "61", "--n-y", "61",
+            "--out", str(mesh_path))
+        calls = []
+        original = fit._measure_apex
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (fit, cli):
+            if getattr(module, "_measure_apex", None) is original:
+                monkeypatch.setattr(module, "_measure_apex", counted)
+        code, _, _ = run(capsys, "fit", "--mesh", str(mesh_path),
+                         "--out", str(tmp_path / "fit.txt"))
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_report_and_error_grid_come_from_the_fit_result(self, capsys, tmp_path):
+        mesh_path, fit_path = fit_report(capsys, tmp_path)
+        result = fit.fit_mesh(cli.read_mesh(str(mesh_path)))
+        report = parse_report(fit_path.read_text())
+        assert float(report["apex_x_mm"]) == result.apex_x_mm
+        assert float(report["apex_y_mm"]) == result.apex_y_mm
+        errors = cli.read_mesh(str(fit_path) + ".errors")
+        np.testing.assert_array_equal(errors.z, result.error_grid_mm)
 
 
 class TestDeterminism:

@@ -147,6 +147,33 @@ class TestTextFormat:
         np.testing.assert_array_equal(mesh.z, [[1.0, 2.0], [3.0, 4.0]])
 
 
+class TestMeshWriter:
+    def test_text_matches_per_value_format(self, tmp_path):
+        # special values in every column position, then random rows
+        special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                   np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0, -2.5e-7, 1e16, 1e17]
+        rows = [np.roll(special, k) for k in range(len(special))]
+        noise = np.random.default_rng(1).standard_normal((20, len(special))) * 1e3
+        z = np.vstack(rows + [noise])
+        mesh = SurfaceMesh(n_x=z.shape[1], n_y=z.shape[0], spacing_x=0.1,
+                           spacing_y=1.0 / 3.0, origin_x=-0.0, origin_y=-5.5, z=z)
+        path = tmp_path / "mesh.txt"
+        write_mesh(mesh, path)
+        expected = (
+            f"{mesh.n_y} {mesh.n_x} {mesh.spacing_x:.17g} {mesh.spacing_y:.17g} "
+            f"{mesh.origin_x:.17g} {mesh.origin_y:.17g}\n"
+            + "".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in z)
+        )
+        assert path.read_text() == expected
+
+    def test_non_ascii_byte_is_a_parse_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_bytes(b"2 2 1.0 1.0 0.0 0.0\n1.0 2.0\n3.0 4\xc3\xa9\n")
+        with pytest.raises(ParseError) as excinfo:
+            read_mesh(path)
+        assert excinfo.value.line == 3
+
+
 class TestSynthetic:
     def test_deterministic(self):
         spec = SynthSpec(params=ModelParams(a=2.0, b=2.0), scale_radius=5.5,

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from corneafit import fit as fit_module
 from corneafit.data import SurfaceMesh, SynthSpec, generate_synthetic
 from corneafit.errors import ApexNotFound, DegenerateLevelSet, NoRoot
 from corneafit.fit import (
@@ -22,6 +23,8 @@ from corneafit.fit import (
     FitOptions,
     FitResult,
     ModelSurface,
+    _calibration_scan,
+    _level_curve_points,
     _measure_apex,
     axial_distance_map,
     calibrate_a,
@@ -31,6 +34,7 @@ from corneafit.fit import (
     fit_mesh,
 )
 from corneafit.kernel import ModelParams
+from corneafit.solver import _h0_values
 from corneafit.special import bessel_i
 
 CIRCLE = DomainEllipse.from_signed_ecc_sq(0.0)
@@ -372,3 +376,173 @@ class TestAxialDistanceMap:
         d_model = axial_distance_map(model, CIRCLE)
         assert math.isnan(d_model[20, 20])  # the exact axis point diverges
         assert np.isfinite(d_model[20, 21])
+
+
+# References for the one-pass fit: the per-row and per-column loop the
+# level-curve search replaced, and a plain scalar scan plus bisection for
+# the calibration root.
+
+
+def reference_level_crossings(coords, values, valid, level):
+    crossings = []
+    for j in range(values.size - 1):
+        if not (valid[j] and valid[j + 1]):
+            continue
+        s0, s1 = values[j] - level, values[j + 1] - level
+        if s0 == 0.0:
+            crossings.append(coords[j])
+        elif s0 * s1 < 0.0:
+            t = s0 / (s0 - s1)
+            crossings.append(coords[j] + t * (coords[j + 1] - coords[j]))
+    return crossings
+
+
+def reference_level_curve_points(mesh, center, level):
+    x, y = mesh.x_coords, mesh.y_coords
+    points_u, points_v = [], []
+    for i in range(mesh.n_y):
+        for u in reference_level_crossings(x, mesh.z[i], mesh.valid[i], level):
+            points_u.append(u - center[0])
+            points_v.append(y[i] - center[1])
+    for j in range(mesh.n_x):
+        for v in reference_level_crossings(y, mesh.z[:, j], mesh.valid[:, j], level):
+            points_u.append(x[j] - center[0])
+            points_v.append(v - center[1])
+    return np.array(points_u), np.array(points_v)
+
+
+def reference_ellipse(u, v):
+    u2, v2 = u * u, v * v
+    normal = np.array([[np.sum(u2 * u2), np.sum(u2 * v2)], [np.sum(u2 * v2), np.sum(v2 * v2)]])
+    rhs = np.array([np.sum(u2), np.sum(v2)])
+    alpha, beta = np.linalg.solve(normal, rhs)
+    return DomainEllipse.from_semi_axes(1.0 / math.sqrt(alpha), 1.0 / math.sqrt(beta))
+
+
+def reference_calibrate_a(h00, rho0):
+    half = 0.5 * h00 * rho0
+
+    def g(a):
+        return half * a - bessel_i(0, math.sqrt(a)) + 1.0
+
+    grid = np.geomspace(1e-8, 100.0, 600)
+    values = [g(a) for a in grid]
+    for i in range(grid.size - 1):
+        if values[i] > 0.0 and values[i + 1] <= 0.0:
+            lo, hi = grid[i], grid[i + 1]
+            break
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def holed_mesh():
+    # NaN holes scattered over the footprint, some on the level curve
+    base = synthetic(1.94398, 2.27534, signed_ecc_sq=0.0234, sigma=0.01, seed=3)
+    z = base.z.copy()
+    holes = np.random.default_rng(5).random(z.shape) < 0.08
+    z[holes] = np.nan
+    z[60:64, 20:90] = np.nan
+    return SurfaceMesh(n_x=base.n_x, n_y=base.n_y, spacing_x=base.spacing_x,
+                       spacing_y=base.spacing_y, origin_x=base.origin_x,
+                       origin_y=base.origin_y, z=z)
+
+
+def terraced_mesh():
+    # integer-valued dome: many nodes lie exactly on the level 6, some in
+    # runs of equal neighbours, and the dome reaches the last column
+    n = 41
+    index = np.arange(n) - 20.0
+    z = 10.0 - np.floor(np.hypot(*np.meshgrid(index, index)) / 2.5)
+    z[z < 0.0] = np.nan
+    z[:, -1] = 6.0
+    return SurfaceMesh(n_x=n, n_y=n, spacing_x=0.25, spacing_y=0.2,
+                       origin_x=-5.0, origin_y=-4.0, z=z)
+
+
+class TestOnePassEllipse:
+    @pytest.mark.parametrize("case", ["holes", "terraces", "eccentric", "prolate"])
+    def test_points_and_ellipse_match_the_loop(self, case):
+        if case == "holes":
+            mesh, center, level = holed_mesh(), (0.013, -0.021), 1.0
+        elif case == "terraces":
+            mesh, center, level = terraced_mesh(), (0.0, 0.0), 6.0
+        else:
+            ecc = 0.2 if case == "eccentric" else -0.1
+            mesh = synthetic(1.94398, 2.27534, signed_ecc_sq=ecc, sigma=0.003, seed=11, n=97)
+            apex_x, apex_y, height, _ = _measure_apex(mesh, FitOptions())
+            center, level = (apex_x, apex_y), 0.5 * height
+        want_u, want_v = reference_level_curve_points(mesh, center, level)
+        got_u, got_v = _level_curve_points(mesh, center, level)
+        assert want_u.size > 40
+        np.testing.assert_array_equal(got_u, want_u)
+        np.testing.assert_array_equal(got_v, want_v)
+        assert estimate_ellipse(mesh, center=center, level=level) == reference_ellipse(
+            want_u, want_v)
+
+    def test_terraced_mesh_has_nodes_on_the_level(self):
+        mesh = terraced_mesh()
+        assert np.count_nonzero(mesh.z == 6.0) > 20
+        assert np.any((mesh.z[:, :-1] == 6.0) & (mesh.z[:, 1:] == 6.0))
+
+
+class TestOnePassCalibration:
+    @pytest.mark.parametrize("half", [0.2, 0.26, 0.28, 0.3, 0.5, 2.0])
+    def test_array_scan_equals_scalar_g(self, half):
+        grid, values = _calibration_scan(half)
+        np.testing.assert_array_equal(grid, np.geomspace(1e-8, 100.0, 600))
+        scalar = [half * a - bessel_i(0, math.sqrt(a)) + 1.0 for a in grid]
+        np.testing.assert_array_equal(values, scalar)
+
+    def test_agrees_with_bisection_over_quality_seeds(self, monkeypatch):
+        # the inputs are those fit_mesh hands calibrate_a on the paper's
+        # noisy 123x123 meshes, noise seeds 0-19
+        seen = []
+        original = fit_module.calibrate_a
+
+        def recorded(h00, rho0):
+            a = original(h00, rho0)
+            seen.append((h00, rho0, a))
+            return a
+
+        monkeypatch.setattr(fit_module, "calibrate_a", recorded)
+        for seed in range(20):
+            fit_mesh(synthetic(1.94398, 2.27534, signed_ecc_sq=0.0234, sigma=0.01,
+                               seed=seed))
+        assert len(seen) == 20
+        for h00, rho0, a in seen:
+            assert a == pytest.approx(reference_calibrate_a(h00, rho0), rel=1e-10)
+
+    def test_root_meets_tolerance(self):
+        for h00, rho0 in [(H00_TWO, RHO0_TWO), (H00_PAIR, RHO0_PAIR), (0.3, 2.1),
+                          (0.26, 2.0), (2.0, 1.0)]:
+            a = calibrate_a(h00, rho0)
+            assert abs(0.5 * h00 * rho0 * a - bessel_i(0, math.sqrt(a)) + 1.0) <= 1e-12
+
+
+class TestFitResultCarriesItsGrids:
+    def test_apex_and_error_grid(self):
+        mesh = holed_mesh()
+        result = fit_mesh(mesh)
+        apex_x, apex_y, _, _ = _measure_apex(mesh, FitOptions())
+        assert (result.apex_x_mm, result.apex_y_mm) == (apex_x, apex_y)
+
+        grid_x, grid_y = np.meshgrid(mesh.x_coords, mesh.y_coords)
+        rel = elliptical_radius(grid_x - apex_x, grid_y - apex_y,
+                                result.ellipse) / result.scale_radius
+        use = mesh.valid & (rel <= 1.0)
+        expected = np.full(mesh.z.shape, np.nan)
+        expected[use] = np.abs(mesh.z[use] - result.scale_radius * _h0_values(
+            result.params, np.clip(rel[use], 0.0, 1.0)))
+        np.testing.assert_array_equal(result.error_grid_mm, expected)
+        assert np.count_nonzero(np.isfinite(result.error_grid_mm)) == result.n_points_used
+        assert np.nanmean(result.error_grid_mm) == pytest.approx(result.mean_abs_error_mm,
+                                                                 rel=1e-12)
+
+    def test_results_still_compare_by_value(self):
+        mesh = synthetic(2.0, 2.0)
+        assert fit_mesh(mesh) == fit_mesh(mesh)

@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from corneafit import cli, solver
+from corneafit import cli, kernel, solver
 from corneafit.errors import BoundViolation, HypothesisViolation, NoConvergence
 from corneafit.kernel import (
     ModelParams,
     bound_constants,
+    dv0,
+    dv1,
     lemma_b_max,
     theorem1_b_max,
     v0,
@@ -320,6 +322,41 @@ class TestSolverPlan:
         assert report.final_sup_diff == sup_diff
         assert report.residual_sup == residual_sup(params, prev)
         assert (report.envelope_ok, report.envelope_constant_A) == envelope_check(params, prev)
+
+
+class TestSharedBesselArrays:
+    @pytest.mark.parametrize("n", [401, 4001, 40001])
+    @pytest.mark.parametrize("a,b", REFERENCE_PAIRS)
+    def test_plan_tables_equal_the_public_functions(self, a, b, n):
+        # the plan shares I0(sqrt(a) r) and I1(sqrt(a) r) between its
+        # tables; each must still equal its own public evaluation bit for bit
+        params = ModelParams(a=a, b=b)
+        grid = RadialGrid.uniform(n)
+        r = grid.nodes
+        plan = solver._SolverPlan.build(params, grid)
+        base = h0_profile(params, grid)
+        np.testing.assert_array_equal(plan.v0, v0(r, a))
+        np.testing.assert_array_equal(plan.v1_pos, v1(r[1:], a))
+        np.testing.assert_array_equal(plan.dv0, dv0(r, a))
+        np.testing.assert_array_equal(plan.dv1_pos, dv1(r[1:], a))
+        np.testing.assert_array_equal(plan.h0.h, base.h)
+        np.testing.assert_array_equal(plan.h0.dh, base.dh)
+
+    def test_one_solve_evaluates_two_bessel_i_arrays(self, monkeypatch):
+        sizes = []
+
+        def counted(nu, z):
+            sizes.append(np.size(z))
+            return bessel_i(nu, z)
+
+        for module in (kernel, solver):
+            monkeypatch.setattr(module, "bessel_i", counted)
+        n = 401
+        solve(TWO_TWO, RadialGrid.uniform(n))
+        # I0(sqrt(a) r) and I1(sqrt(a) r) on the nodes; everything else is
+        # a scalar such as I0(sqrt(a))
+        assert sorted(size for size in sizes if size > 1) == [n, n]
+        assert sum(sizes) == 2 * n + sum(1 for size in sizes if size == 1)
 
 
 class TestResidual:
