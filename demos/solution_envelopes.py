@@ -6,16 +6,16 @@ between its analytic lower and upper envelopes.
 
 import numpy as np
 
-from corneafit import ModelParams, RadialGrid, h0_profile, picard_step, solve
+from corneafit import ModelParams, RadialGrid, solve
 
 params = ModelParams(a=2.0, b=2.0)
 grid = RadialGrid.uniform(401)
 
+# the report carries h0 and the first iterate h1, the two sides of the
+# envelope A h1 <= h <= h0
 report = solve(params, grid)
-base = h0_profile(params, grid)
-first = picard_step(params, base)
-lower = report.envelope_constant_A * first.h
-upper = base.h
+lower = report.envelope_constant_A * report.h1.h
+upper = report.h0.h
 
 print(f"parameters:        a = {params.a}, b = {params.b}")
 print(f"iterations:        {report.iterations}")
@@ -24,7 +24,7 @@ print(f"ODE residual sup:  {report.residual_sup:.3e}")
 print(f"envelope constant: A = {report.envelope_constant_A:.6f}")
 print(f"envelope holds:    {report.envelope_ok}")
 print(f"apex deflection:   h(0) = {report.profile.h[0]:.6f} "
-      f"(linearized {base.h[0]:.6f})")
+      f"(linearized {upper[0]:.6f})")
 
 margin_low = np.min(report.profile.h - lower)
 margin_high = np.min(upper - report.profile.h)

@@ -31,6 +31,7 @@ from .fit import (
     FitResult,
     ModelSurface,
     axial_distance_map,
+    axial_error_grid,
     calibrate_a,
     calibrate_b,
     elliptical_radius,
@@ -90,6 +91,7 @@ __all__ = [
     "SynthSpec",
     "admissibility",
     "axial_distance_map",
+    "axial_error_grid",
     "bessel_i",
     "bessel_k",
     "bound_constants",

@@ -15,19 +15,12 @@ calibration root); 3 degenerate data (no apex, no level curve).
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .data import (
-    SurfaceMesh,
-    SynthSpec,
-    _read_ascii,
-    generate_synthetic,
-    read_mesh,
-    write_mesh,
-)
+from .data import SynthSpec, _read_ascii, generate_synthetic, read_mesh, write_mesh
 from .errors import (
     ApexNotFound,
     BoundViolation,
@@ -37,14 +30,7 @@ from .errors import (
     NoRoot,
     ParseError,
 )
-from .fit import (
-    DomainEllipse,
-    FitOptions,
-    ModelSurface,
-    _recentred,
-    axial_distance_map,
-    fit_mesh,
-)
+from .fit import DomainEllipse, FitOptions, axial_distance_map, axial_error_grid, fit_mesh
 from .kernel import ModelParams, lemma_b_max, theorem1_b_max
 from .solver import RadialGrid, solve
 
@@ -55,10 +41,9 @@ class RunReport:
     inputs: dict
     outputs: dict
     timing_ms: float
-    version: str
 
     def render(self):
-        lines = [f"command = {self.command}", f"version = {self.version}"]
+        lines = [f"command = {self.command}", f"version = {__version__}"]
         for key, value in self.inputs.items():
             lines.append(f"{key} = {_format_value(value)}")
         for key, value in self.outputs.items():
@@ -131,7 +116,6 @@ def cmd_solve(a, b, n_nodes=401, tol=1e-10, out_path=None, enforce_bound=False):
         },
         outputs=outputs,
         timing_ms=1e3 * (time.perf_counter() - start),
-        version=__version__,
     )
 
 
@@ -162,7 +146,6 @@ def cmd_bounds(a_min, a_max, n_samples=200, out_path=None):
         },
         outputs=outputs,
         timing_ms=1e3 * (time.perf_counter() - start),
-        version=__version__,
     )
 
 
@@ -200,20 +183,6 @@ def cmd_synth(a, b, ecc2=0.0, scale_radius=5.5, noise_sigma=0.0, seed=0,
             "max_elevation_mm": float(np.nanmax(mesh.z)),
         },
         timing_ms=1e3 * (time.perf_counter() - start),
-        version=__version__,
-    )
-
-
-def _same_grid(mesh, z):
-    """A mesh on mesh's grid holding z."""
-    return SurfaceMesh(
-        n_x=mesh.n_x,
-        n_y=mesh.n_y,
-        spacing_x=mesh.spacing_x,
-        spacing_y=mesh.spacing_y,
-        origin_x=mesh.origin_x,
-        origin_y=mesh.origin_y,
-        z=z,
     )
 
 
@@ -239,7 +208,7 @@ def cmd_fit(mesh_path, options=None, out_path=None):
         "error_summary": result.error_summary(),
     }
     if out_path is not None:
-        write_mesh(_same_grid(mesh, result.error_grid_mm), out_path + ".errors")
+        write_mesh(replace(mesh, z=result.error_grid_mm, valid=None), out_path + ".errors")
         outputs["report_path"] = out_path
         outputs["errors_mesh_path"] = out_path + ".errors"
 
@@ -248,7 +217,6 @@ def cmd_fit(mesh_path, options=None, out_path=None):
         inputs={"mesh_path": mesh_path, "level_fraction_nondim": options.level_fraction},
         outputs=outputs,
         timing_ms=1e3 * (time.perf_counter() - start),
-        version=__version__,
     )
     if out_path is not None:
         with open(out_path, "w", encoding="ascii") as handle:
@@ -280,8 +248,8 @@ def cmd_axial(mesh_path, fit_path=None, out_path=None, gradient_floor=1e-8):
     """Axial-distance field of a mesh; with a fit report, also the model's.
 
     Without fit_path the surface axis is the mesh's coordinate origin
-    and only the mesh-route field is written; with it, coordinates are
-    re-centered on the fitted apex and a |d_mesh - d_model| grid
+    and only the mesh-route field is written; with it, axial_error_grid
+    re-centers on the fitted apex and its |d_mesh - d_model| grid
     accompanies the field.
     """
     start = time.perf_counter()
@@ -292,7 +260,7 @@ def cmd_axial(mesh_path, fit_path=None, out_path=None, gradient_floor=1e-8):
     if fit_path is None:
         circle = DomainEllipse.from_signed_ecc_sq(0.0)
         d_mesh = axial_distance_map(mesh, circle, gradient_floor=gradient_floor)
-        d_model = None
+        errors = None
     else:
         inputs["fit_path"] = fit_path
         entries = _parse_report(fit_path)
@@ -301,33 +269,26 @@ def cmd_axial(mesh_path, fit_path=None, out_path=None, gradient_floor=1e-8):
             for key in ("a_nondim", "b_nondim", "signed_ecc_sq_nondim",
                         "scale_radius_mm", "apex_x_mm", "apex_y_mm")
         )
-        params = ModelParams(a=a, b=b)
-        ellipse = DomainEllipse.from_signed_ecc_sq(signed_ecc_sq)
-        source = _recentred(mesh, apex_x, apex_y)
-        d_mesh = axial_distance_map(source, ellipse, gradient_floor=gradient_floor)
-        d_model = axial_distance_map(
-            ModelSurface(params=params, scale_radius=scale, template=source),
-            ellipse,
-            gradient_floor=gradient_floor,
+        d_mesh, errors = axial_error_grid(
+            mesh,
+            ModelParams(a=a, b=b),
+            DomainEllipse.from_signed_ecc_sq(signed_ecc_sq),
+            scale,
+            (apex_x, apex_y),
+            gradient_floor,
         )
 
     defined = np.isfinite(d_mesh)
     outputs["n_defined"] = int(defined.sum())
     if defined.any():
         outputs["d_mean_mm"] = float(d_mesh[defined].mean())
-    if d_model is not None:
-        common = defined & np.isfinite(d_model)
-        if common.any():
-            outputs["axial_mean_abs_error_mm"] = float(
-                np.abs(d_mesh[common] - d_model[common]).mean()
-            )
+    if errors is not None:
+        outputs["axial_mean_abs_error_mm"] = float(errors[~np.isnan(errors)].mean())
     if out_path is not None:
-        write_mesh(_same_grid(mesh, d_mesh), out_path)
+        write_mesh(replace(mesh, z=d_mesh, valid=None), out_path)
         outputs["d_mesh_path"] = out_path
-        if d_model is not None:
-            diff = np.full(d_mesh.shape, np.nan)
-            diff[common] = np.abs(d_mesh[common] - d_model[common])
-            write_mesh(_same_grid(mesh, diff), out_path + ".errors")
+        if errors is not None:
+            write_mesh(replace(mesh, z=errors, valid=None), out_path + ".errors")
             outputs["errors_mesh_path"] = out_path + ".errors"
 
     return RunReport(
@@ -335,7 +296,6 @@ def cmd_axial(mesh_path, fit_path=None, out_path=None, gradient_floor=1e-8):
         inputs=inputs,
         outputs=outputs,
         timing_ms=1e3 * (time.perf_counter() - start),
-        version=__version__,
     )
 
 

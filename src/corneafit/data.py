@@ -59,8 +59,10 @@ class SurfaceMesh:
         object.__setattr__(self, "z", z)
         if self.n_x < 2 or self.n_y < 2:
             raise ValueError("mesh needs at least 2 samples per axis")
-        if not (self.spacing_x > 0.0 and self.spacing_y > 0.0):
-            raise ValueError("mesh spacing must be positive")
+        if not (0.0 < self.spacing_x < math.inf and 0.0 < self.spacing_y < math.inf):
+            raise ValueError("mesh spacing must be positive and finite")
+        if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
+            raise ValueError("mesh origin must be finite")
         if z.shape != (self.n_y, self.n_x):
             raise ValueError(f"z must have shape (n_y, n_x) = {(self.n_y, self.n_x)}")
         finite = np.isfinite(z)
@@ -210,8 +212,10 @@ def read_mesh(path):
         raise ParseError("header spacings/origins must be numbers", line=1) from None
     if rows < 2 or cols < 2:
         raise ParseError("header declares fewer than 2 rows or columns", line=1)
-    if not (spacing_x > 0.0 and spacing_y > 0.0):
-        raise ParseError("header spacings must be positive", line=1)
+    if not (0.0 < spacing_x < math.inf and 0.0 < spacing_y < math.inf):
+        raise ParseError("header spacings must be positive and finite", line=1)
+    if not (math.isfinite(origin_x) and math.isfinite(origin_y)):
+        raise ParseError("header origins must be finite", line=1)
 
     body = [line for line in lines[1:] if line.strip()]
     if len(body) != rows:

@@ -22,10 +22,13 @@ Axial distance: d = sqrt(x^2 + y^2) sqrt(1 + 1/(h_x^2 + h_y^2)), the
 distance from the surface point to the axis along the surface normal.
 It is undefined where the gradient vanishes (the apex), so points with
 gradient norm below a floor are masked to NaN rather than reported.
+axial_error_grid is the one mesh-versus-model comparison of these maps,
+taken about the fitted apex; fit_mesh averages it and the axial command
+writes it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -414,10 +417,9 @@ def fit_mesh(mesh, options=None):
     calibration amplifies that ~8x into a. Apex measurements divided by
     the scale then calibrate a and b, and the model surface
     S h0(elliptical radius / S) is compared against the data; axial
-    distance statistics are computed over points where both the mesh
-    and model maps are defined, outside apex_mask_radius. Each stage
-    runs once; the result also carries the apex position and the
-    per-point elevation error grid.
+    distance statistics are means of axial_error_grid's errors outside
+    apex_mask_radius. Each stage runs once; the result also carries the
+    apex position and the per-point elevation error grid.
     """
     if options is None:
         options = FitOptions()
@@ -448,17 +450,13 @@ def fit_mesh(mesh, options=None):
     error_grid = np.full(mesh.z.shape, np.nan)
     error_grid[use] = abs_errors
 
-    shifted = _recentred(mesh, apex_x, apex_y)
-    d_mesh = axial_distance_map(shifted, ellipse, gradient_floor=options.gradient_floor)
-    d_model = axial_distance_map(
-        ModelSurface(params=params, scale_radius=scale, template=shifted),
-        ellipse,
-        gradient_floor=options.gradient_floor,
+    d_mesh, axial_errors = axial_error_grid(
+        mesh, params, ellipse, scale, (apex_x, apex_y), options.gradient_floor
     )
-    common = np.isfinite(d_mesh) & np.isfinite(d_model) & (rel > options.apex_mask_radius)
+    common = ~np.isnan(axial_errors) & (rel > options.apex_mask_radius)
     if not np.any(common):
         raise ValueError("no overlap between mesh and model axial-distance maps")
-    axial_diff = np.abs(d_mesh[common] - d_model[common])
+    axial_diff = axial_errors[common]
     axial_mean_abs = float(axial_diff.mean())
     axial_mean_rel = float((axial_diff / d_mesh[common]).mean())
 
@@ -477,17 +475,32 @@ def fit_mesh(mesh, options=None):
     )
 
 
-def _recentred(mesh, apex_x, apex_y):
-    """The mesh with coordinates shifted so the apex is the origin."""
-    return SurfaceMesh(
-        n_x=mesh.n_x,
-        n_y=mesh.n_y,
-        spacing_x=mesh.spacing_x,
-        spacing_y=mesh.spacing_y,
-        origin_x=mesh.origin_x - apex_x,
-        origin_y=mesh.origin_y - apex_y,
-        z=mesh.z,
+def axial_error_grid(mesh, params, ellipse, scale_radius, apex, gradient_floor=1e-8):
+    """The mesh's axial-distance field and its error against the model.
+
+    Both fields are taken about apex = (x, y), the fitted apex in the
+    mesh's coordinates: the mesh is re-centered there and the model
+    surface S h0(elliptical radius / S) sits on the re-centered grid.
+    Returns (d_mesh, |d_mesh - d_model|), both with the mesh's shape;
+    the error grid is NaN wherever either map is undefined. Raises
+    ValueError when the apex is not finite or no point has both maps.
+    """
+    apex_x, apex_y = apex
+    if not (math.isfinite(apex_x) and math.isfinite(apex_y)):
+        raise ValueError(f"apex position must be finite, got ({apex_x}, {apex_y})")
+    shifted = replace(mesh, origin_x=mesh.origin_x - apex_x, origin_y=mesh.origin_y - apex_y)
+    d_mesh = axial_distance_map(shifted, ellipse, gradient_floor=gradient_floor)
+    d_model = axial_distance_map(
+        ModelSurface(params=params, scale_radius=scale_radius, template=shifted),
+        ellipse,
+        gradient_floor=gradient_floor,
     )
+    both = np.isfinite(d_mesh) & np.isfinite(d_model)
+    if not np.any(both):
+        raise ValueError("no overlap between mesh and model axial-distance maps")
+    errors = np.full(d_mesh.shape, np.nan)
+    errors[both] = np.abs(d_mesh[both] - d_model[both])
+    return d_mesh, errors
 
 
 def axial_distance_map(mesh_or_model, ellipse, gradient_floor=1e-8):
@@ -499,8 +512,11 @@ def axial_distance_map(mesh_or_model, ellipse, gradient_floor=1e-8):
     are not); for a ModelSurface it is the chain rule on S h0(rel),
     using the given ellipse, defined where rel <= 1. Points with
     gradient norm below gradient_floor come out NaN, not raised: the
-    formula diverges at the apex.
+    formula diverges at the apex. Raises ValueError when gradient_floor
+    is not positive and finite.
     """
+    if not (0.0 < gradient_floor < math.inf):
+        raise ValueError("gradient_floor must be positive and finite")
     if isinstance(mesh_or_model, ModelSurface):
         model = mesh_or_model
         template = model.template

@@ -32,7 +32,9 @@ weights t v0 and t v1, h0 with its slope, c = b / I0(sqrt(a)) and the
 admissibility report. A private solver plan evaluates them once, from
 one I0(sqrt(a) r) and one I1(sqrt(a) r) array shared by all of them; each
 Picard step on the plan is then only the P - 1 integrand, two cumulative
-sums and the recombination. solve builds one plan per call, keeps the
+sums and the recombination. The envelope constant A and the slope
+factor 2 - 1/I0(sqrt(a)) come from the plan's I0(sqrt(a)) and h0'(1),
+with no further Bessel call. solve builds one plan per call, keeps the
 first iterate h1 and hands the plan's h0 and that h1 to the envelope
 check and, through SolveReport, to its callers. picard_step and
 envelope_check are thin wrappers that build a plan per call. No plan is
@@ -146,14 +148,6 @@ def _dh0_values(params, r, i1_r=None):
     return -(params.b / sa) * i1_r / bessel_i(0, sa)
 
 
-def _envelope_constant(params):
-    # A = (1 + h0'(1)^2) / (1 + (2 - 1/I0(sqrt(a))) h0'(1)^2), in (0, 1].
-    s = _dh0_values(params, np.asarray(1.0))
-    s2 = float(s) ** 2
-    factor = 2.0 - 1.0 / bessel_i(0, math.sqrt(params.a))
-    return (1.0 + s2) / (1.0 + factor * s2)
-
-
 def h0_profile(params, grid, *, _i0_r=None, _i1_r=None):
     """Closed-form linearized solution on the grid (the P == 1 case).
 
@@ -263,11 +257,16 @@ class _SolverPlan:
 
     def envelope(self, profile, first):
         """The envelope verdict and A for profile, given the first iterate
-        h1 = step(h0); see envelope_check for the inequalities."""
+        h1 = step(h0); see envelope_check for the inequalities. The
+        verdict is False when b > lemma_b_max(a), where they are not
+        claimed."""
         slack = 1e-9
-        constant_a = _envelope_constant(self.params)
         base = self.h0
         lower_factor = 2.0 - 1.0 / self.i0
+        slope_sq = float(base.dh[-1]) ** 2  # h0'(1)^2
+        constant_a = (1.0 + slope_sq) / (1.0 + lower_factor * slope_sq)  # in (0, 1]
+        if not self.admissibility_report.lemma_ok:
+            return False, constant_a
         ok = bool(
             np.all(constant_a * first.h - slack <= profile.h)
             and np.all(profile.h <= base.h + slack)
@@ -331,10 +330,7 @@ def solve(params, grid, tol=1e-10, max_iter=50, enforce_bound=False):
         )
 
     residual = residual_sup(params, prev)
-    if report.lemma_ok:
-        envelope_ok, constant_a = plan.envelope(prev, first)
-    else:
-        envelope_ok, constant_a = False, _envelope_constant(params)
+    envelope_ok, constant_a = plan.envelope(prev, first)
     return SolveReport(
         profile=prev,
         iterations=iterations,

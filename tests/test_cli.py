@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from corneafit import cli, fit
+from corneafit import __version__, cli, fit
 from corneafit.cli import _write_csv, main
 from corneafit.data import SurfaceMesh, write_mesh
 
@@ -274,6 +276,59 @@ class TestBadInputFiles:
                               "--fit", str(fit_path))
         assert code == 2
         assert stderr.startswith("error:")
+
+
+class TestSilentFailuresExitLoudly:
+    @pytest.mark.parametrize("key,value", [("apex_x_mm", "nan"), ("apex_y_mm", "inf")])
+    def test_non_finite_apex_exits_2(self, capsys, tmp_path, key, value):
+        mesh_path, fit_path = fit_report(capsys, tmp_path)
+        replace_report_value(fit_path, key, value)
+        code, stdout, stderr = run(capsys, "axial", "--mesh", str(mesh_path),
+                                   "--fit", str(fit_path))
+        assert code == 2
+        assert "apex" in stderr
+        assert stdout == ""
+
+    def test_apex_outside_the_mesh_exits_2(self, capsys, tmp_path):
+        mesh_path, fit_path = fit_report(capsys, tmp_path)
+        replace_report_value(fit_path, "apex_x_mm", "100")
+        code, stdout, stderr = run(capsys, "axial", "--mesh", str(mesh_path),
+                                   "--fit", str(fit_path))
+        assert code == 2
+        assert "no overlap" in stderr
+        assert stdout == ""
+
+    @pytest.mark.parametrize("floor", ["-1", "nan"])
+    def test_bad_gradient_floor_exits_2(self, capsys, tmp_path, floor):
+        mesh_path = tmp_path / "sphere.txt"
+        write_sphere_mesh(str(mesh_path), n=61)
+        code, stdout, stderr = run(capsys, "axial", "--mesh", str(mesh_path),
+                                   "--gradient-floor", floor)
+        assert code == 2
+        assert "gradient_floor" in stderr
+        assert stdout == ""
+
+    @pytest.mark.parametrize("command", ["fit", "axial"])
+    @pytest.mark.parametrize("field,value", [(2, "inf"), (4, "nan"), (5, "inf")])
+    def test_non_finite_mesh_header_exits_1(self, capsys, tmp_path, command, field, value):
+        mesh_path = tmp_path / "mesh.txt"
+        run(capsys, "synth", "--a", "2", "--b", "2", "--n-x", "61", "--n-y", "61",
+            "--out", str(mesh_path))
+        lines = mesh_path.read_text().split("\n")
+        header = lines[0].split()
+        header[field] = value
+        mesh_path.write_text("\n".join([" ".join(header)] + lines[1:]))
+        code, _, stderr = run(capsys, command, "--mesh", str(mesh_path))
+        assert code == 1
+        assert "line 1" in stderr
+
+
+class TestRunReport:
+    def test_renders_the_package_version(self):
+        assert "version" not in {f.name for f in dataclasses.fields(cli.RunReport)}
+        report = cli.cmd_bounds(0.5, 5.0, n_samples=4)
+        assert report.render().splitlines()[:2] == ["command = bounds",
+                                                    f"version = {__version__}"]
 
 
 class TestOnePassFit:

@@ -40,6 +40,16 @@ class TestSurfaceMesh:
                            origin_x=0.0, origin_y=0.0, z=z)
         np.testing.assert_array_equal(mesh.valid, [[True, False], [False, True]])
 
+    @pytest.mark.parametrize("field,value", [
+        ("spacing_x", math.inf), ("spacing_y", math.inf), ("spacing_x", math.nan),
+        ("origin_x", math.nan), ("origin_y", math.inf), ("origin_x", -math.inf),
+    ])
+    def test_spacing_and_origin_must_be_finite(self, field, value):
+        geometry = dict(spacing_x=1.0, spacing_y=1.0, origin_x=0.0, origin_y=0.0)
+        geometry[field] = value
+        with pytest.raises(ValueError):
+            SurfaceMesh(n_x=2, n_y=2, z=np.zeros((2, 2)), **geometry)
+
     def test_explicit_valid_must_match_finite(self):
         z = np.array([[1.0, np.nan], [3.0, 4.0]])
         ok = np.isfinite(z)
@@ -94,6 +104,21 @@ class TestTextFormat:
             with pytest.raises(ParseError) as excinfo:
                 read_mesh(path)
             assert excinfo.value.line == 1
+
+    @pytest.mark.parametrize("header", [
+        "2 2 inf 1.0 0.0 0.0",
+        "2 2 1.0 inf 0.0 0.0",
+        "2 2 nan 1.0 0.0 0.0",
+        "2 2 1.0 1.0 nan 0.0",
+        "2 2 1.0 1.0 0.0 inf",
+        "2 2 1.0 1.0 -inf 0.0",
+    ])
+    def test_non_finite_header_values(self, tmp_path, header):
+        path = tmp_path / "mesh.txt"
+        path.write_text(header + "\n1.0 2.0\n3.0 4.0\n")
+        with pytest.raises(ParseError) as excinfo:
+            read_mesh(path)
+        assert excinfo.value.line == 1
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "mesh.txt"

@@ -27,6 +27,7 @@ from corneafit.fit import (
     _level_curve_points,
     _measure_apex,
     axial_distance_map,
+    axial_error_grid,
     calibrate_a,
     calibrate_b,
     elliptical_radius,
@@ -350,6 +351,15 @@ class TestAxialDistanceMap:
         assert np.all(np.isnan(distances[0])) and np.all(np.isnan(distances[-1]))
         assert np.all(np.isnan(distances[:, 0])) and np.all(np.isnan(distances[:, -1]))
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf])
+    def test_gradient_floor_must_be_positive_and_finite(self, floor):
+        mesh = sphere_cap(n=61)
+        model = ModelSurface(params=ModelParams(a=2.0, b=2.0), scale_radius=4.0,
+                             template=mesh)
+        for source in (mesh, model):
+            with pytest.raises(ValueError, match="gradient_floor"):
+                axial_distance_map(source, CIRCLE, gradient_floor=floor)
+
     def test_gradient_floor_masks_everything_when_huge(self):
         mesh = sphere_cap(n=61)
         distances = axial_distance_map(mesh, CIRCLE, gradient_floor=1e6)
@@ -546,3 +556,81 @@ class TestFitResultCarriesItsGrids:
     def test_results_still_compare_by_value(self):
         mesh = synthetic(2.0, 2.0)
         assert fit_mesh(mesh) == fit_mesh(mesh)
+
+
+# Reference for the axial comparison: the inline mesh-versus-model code
+# that fit_mesh and the axial command each carried before
+# axial_error_grid, with the apex-recentred mesh built field by field.
+
+
+def reference_axial_maps(mesh, params, ellipse, scale, apex_x, apex_y, floor=1e-8):
+    shifted = SurfaceMesh(n_x=mesh.n_x, n_y=mesh.n_y, spacing_x=mesh.spacing_x,
+                          spacing_y=mesh.spacing_y, origin_x=mesh.origin_x - apex_x,
+                          origin_y=mesh.origin_y - apex_y, z=mesh.z)
+    d_mesh = axial_distance_map(shifted, ellipse, gradient_floor=floor)
+    d_model = axial_distance_map(
+        ModelSurface(params=params, scale_radius=scale, template=shifted),
+        ellipse,
+        gradient_floor=floor,
+    )
+    return d_mesh, d_model
+
+
+def noisy_paper_mesh(seed, n=123):
+    # noisy, with the NaN rim outside the elliptical footprint and a hole
+    mesh = synthetic(1.94398, 2.27534, signed_ecc_sq=0.0234, sigma=0.01, seed=seed, n=n)
+    z = mesh.z.copy()
+    z[n // 3:n // 3 + 3, n // 4:n // 2] = np.nan
+    return SurfaceMesh(n_x=n, n_y=n, spacing_x=mesh.spacing_x, spacing_y=mesh.spacing_y,
+                       origin_x=mesh.origin_x, origin_y=mesh.origin_y, z=z)
+
+
+class TestAxialErrorGrid:
+    @pytest.mark.parametrize("floor", [1e-8, 0.05])
+    @pytest.mark.parametrize("case", ["holes", "paper"])
+    def test_matches_the_inline_comparison(self, case, floor):
+        mesh = holed_mesh() if case == "holes" else noisy_paper_mesh(seed=4)
+        result = fit_mesh(mesh)
+        apex = (result.apex_x_mm, result.apex_y_mm)
+        d_mesh, errors = axial_error_grid(mesh, result.params, result.ellipse,
+                                          result.scale_radius, apex, floor)
+        want_mesh, want_model = reference_axial_maps(
+            mesh, result.params, result.ellipse, result.scale_radius, *apex, floor=floor)
+        common = np.isfinite(want_mesh) & np.isfinite(want_model)
+        assert common.sum() > 5000
+        expected = np.full(mesh.z.shape, np.nan)
+        expected[common] = np.abs(want_mesh[common] - want_model[common])
+        np.testing.assert_array_equal(d_mesh, want_mesh)
+        np.testing.assert_array_equal(errors, expected)
+        # the axial command's mean is over every point both maps define
+        assert errors[~np.isnan(errors)].mean() == np.abs(
+            want_mesh[common] - want_model[common]).mean()
+
+    @pytest.mark.parametrize("n", [123, 161])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_statistics_match_the_inline_comparison(self, seed, n):
+        mesh = noisy_paper_mesh(seed, n)
+        options = FitOptions()
+        result = fit_mesh(mesh, options)
+        apex_x, apex_y = result.apex_x_mm, result.apex_y_mm
+        want_mesh, want_model = reference_axial_maps(
+            mesh, result.params, result.ellipse, result.scale_radius, apex_x, apex_y)
+        grid_x, grid_y = np.meshgrid(mesh.x_coords, mesh.y_coords)
+        rel = elliptical_radius(grid_x - apex_x, grid_y - apex_y,
+                                result.ellipse) / result.scale_radius
+        common = (np.isfinite(want_mesh) & np.isfinite(want_model)
+                  & (rel > options.apex_mask_radius))
+        axial_diff = np.abs(want_mesh[common] - want_model[common])
+        assert result.axial_mean_abs_error_mm == float(axial_diff.mean())
+        assert result.axial_mean_rel_error == float((axial_diff / want_mesh[common]).mean())
+
+    @pytest.mark.parametrize("apex", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+    def test_non_finite_apex_rejected(self, apex):
+        mesh = synthetic(2.0, 2.0, n=41)
+        with pytest.raises(ValueError, match="apex"):
+            axial_error_grid(mesh, ModelParams(a=2.0, b=2.0), CIRCLE, 5.5, apex)
+
+    def test_no_overlap_rejected(self):
+        mesh = synthetic(2.0, 2.0, n=41)
+        with pytest.raises(ValueError, match="no overlap"):
+            axial_error_grid(mesh, ModelParams(a=2.0, b=2.0), CIRCLE, 5.5, (100.0, 0.0))

@@ -425,6 +425,39 @@ class TestEnvelope:
             envelope_check(params, profile)
 
 
+def reference_envelope_constant(params):
+    # the scalar evaluation of A that solve made before the plan supplied
+    # h0'(1) and I0(sqrt(a)): three more Bessel calls per solve
+    s2 = float(solver._dh0_values(params, np.asarray(1.0))) ** 2
+    factor = 2.0 - 1.0 / bessel_i(0, math.sqrt(params.a))
+    return (1.0 + s2) / (1.0 + factor * s2)
+
+
+class TestEnvelopeFromPlan:
+    @pytest.mark.filterwarnings("ignore:parameters violate the contraction bound")
+    @pytest.mark.parametrize("a,b,n", [
+        (2.0, 2.0, 401), (2.0, 2.0, 4001), (2.07883, 2.76741, 401),
+        (1.94398, 2.27534, 4001), (0.7, 2.5, 401), (2.0, 3.2, 401),
+        (2.0, 1e-6, 101), (2.0, 0.0, 101), (2.0, 4.5, 401), (2.0, 4.5, 4001),
+    ])
+    def test_constant_equals_the_scalar_formula(self, a, b, n):
+        params = ModelParams(a=a, b=b)
+        report = solve(params, RadialGrid.uniform(n))
+        assert report.envelope_constant_A == reference_envelope_constant(params)
+        if b > lemma_b_max(a):  # (2, 4.5): no envelope is claimed there
+            assert report.envelope_ok is False
+
+    def test_envelope_evaluates_no_bessel_function(self, monkeypatch):
+        plan = solver._SolverPlan.build(TWO_TWO, RadialGrid.uniform(401))
+        first = plan.step(plan.h0)
+        expected = reference_envelope_constant(TWO_TWO)
+        calls = []
+        monkeypatch.setattr(solver, "bessel_i", lambda *args: calls.append(args))
+        _, constant = plan.envelope(first, first)
+        assert calls == []
+        assert constant == expected
+
+
 class TestFdOracle:
     @pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 2.0), (2.07883, 2.76741)])
     def test_agreement_with_picard(self, a, b):
