@@ -10,8 +10,8 @@ from corneafit import ModelParams, admissibility, lemma_b_max, theorem1_b_max
 PUBLISHED = [(2.07883, 2.76741), (1.94398, 2.27534)]
 
 a_grid = np.linspace(0.25, 8.0, 160)
-theorem_curve = np.array([theorem1_b_max(a) for a in a_grid])
-lemma_curve = np.array([lemma_b_max(a) for a in a_grid])
+theorem_curve = theorem1_b_max(a_grid)
+lemma_curve = lemma_b_max(a_grid)
 
 print("admissibility bounds (b must stay below both curves)")
 print(f"{'a':>6}  {'theorem1_b_max':>15}  {'lemma_b_max':>12}")

@@ -126,8 +126,8 @@ def cmd_bounds(a_min, a_max, n_samples=200, out_path=None):
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     grid = np.linspace(a_min, a_max, int(n_samples))
-    upper_t = np.array([theorem1_b_max(a) for a in grid])
-    upper_l = np.array([lemma_b_max(a) for a in grid])
+    upper_t = theorem1_b_max(grid)
+    upper_l = lemma_b_max(grid)
     if out_path is not None:
         _write_csv(out_path, ["a", "theorem1_b_max", "lemma_b_max"], [grid, upper_t, upper_l])
     outputs = {
@@ -149,8 +149,9 @@ def cmd_bounds(a_min, a_max, n_samples=200, out_path=None):
     )
 
 
-def cmd_synth(a, b, ecc2=0.0, scale_radius=5.5, noise_sigma=0.0, seed=0,
-              n_x=123, n_y=123, out_path=None):
+def cmd_synth(a, b, ecc2=0.0, scale_radius=5.5, out_path=None, **fields):
+    """Write a synthetic mesh; fields are SynthSpec's noise_sigma, seed,
+    n_x and n_y."""
     start = time.perf_counter()
     if out_path is None:
         raise ValueError("synth requires an output path")
@@ -158,24 +159,21 @@ def cmd_synth(a, b, ecc2=0.0, scale_radius=5.5, noise_sigma=0.0, seed=0,
         params=ModelParams(a=a, b=b),
         scale_radius=scale_radius,
         ellipse=DomainEllipse.from_signed_ecc_sq(ecc2),
-        noise_sigma=noise_sigma,
-        seed=seed,
-        n_x=n_x,
-        n_y=n_y,
+        **fields,
     )
     mesh = generate_synthetic(spec)
     write_mesh(mesh, out_path)
     return RunReport(
         command="synth",
         inputs={
-            "a_nondim": float(a),
-            "b_nondim": float(b),
-            "ecc2_nondim": float(ecc2),
-            "scale_radius_mm": float(scale_radius),
-            "noise_sigma_mm": float(noise_sigma),
-            "seed": int(seed),
-            "n_x": int(n_x),
-            "n_y": int(n_y),
+            "a_nondim": float(spec.params.a),
+            "b_nondim": float(spec.params.b),
+            "ecc2_nondim": float(spec.ellipse.signed_ecc_sq),
+            "scale_radius_mm": float(spec.scale_radius),
+            "noise_sigma_mm": float(spec.noise_sigma),
+            "seed": int(spec.seed),
+            "n_x": int(spec.n_x),
+            "n_y": int(spec.n_y),
         },
         outputs={
             "mesh_path": out_path,
@@ -186,10 +184,10 @@ def cmd_synth(a, b, ecc2=0.0, scale_radius=5.5, noise_sigma=0.0, seed=0,
     )
 
 
-def cmd_fit(mesh_path, options=None, out_path=None):
+def cmd_fit(mesh_path, out_path=None, **fields):
+    """Fit a mesh file; fields are FitOptions fields."""
     start = time.perf_counter()
-    if options is None:
-        options = FitOptions()
+    options = FitOptions(**fields)
     mesh = read_mesh(mesh_path)
     result = fit_mesh(mesh, options)
 
@@ -244,7 +242,8 @@ def _report_float(entries, key):
         raise ParseError(f"fit report value of {key} is not a number: {text!r}") from None
 
 
-def cmd_axial(mesh_path, fit_path=None, out_path=None, gradient_floor=1e-8):
+def cmd_axial(mesh_path, fit_path=None, out_path=None,
+              gradient_floor=FitOptions.gradient_floor):
     """Axial-distance field of a mesh; with a fit report, also the model's.
 
     Without fit_path the surface axis is the mesh's coordinate origin
@@ -300,88 +299,76 @@ def cmd_axial(mesh_path, fit_path=None, out_path=None, gradient_floor=1e-8):
 
 
 def _build_parser():
+    """One subparser per cmd_* function, each flag's dest its keyword.
+    Flags declare no defaults: an omitted flag is left out of the
+    namespace, so the command's or the library's default applies."""
     parser = argparse.ArgumentParser(
         prog="corneafit",
         description="Membrane-model corneal topography: solve, calibrate, fit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve the radial profile and write it as CSV")
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("solve", cmd_solve, "solve the radial profile and write it as CSV")
     p.add_argument("--a", type=float, required=True, help="elastic parameter a > 0")
     p.add_argument("--b", type=float, required=True, help="pressure parameter b >= 0")
-    p.add_argument("--n-nodes", type=int, default=401)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--n-nodes", type=int)
+    p.add_argument("--tol", type=float)
     p.add_argument("--enforce-bound", action="store_true",
                    help="fail instead of warn when b >= theorem1_b_max(a)")
-    p.add_argument("--out", default=None, help="profile CSV path")
+    p.add_argument("--out", dest="out_path", metavar="OUT", help="profile CSV path")
 
-    p = sub.add_parser("bounds", help="tabulate admissibility bounds over an a range")
+    p = command("bounds", cmd_bounds, "tabulate admissibility bounds over an a range")
     p.add_argument("--a-min", type=float, required=True)
     p.add_argument("--a-max", type=float, required=True)
-    p.add_argument("--n-samples", type=int, default=200)
-    p.add_argument("--out", default=None, help="bounds CSV path")
+    p.add_argument("--n-samples", type=int)
+    p.add_argument("--out", dest="out_path", metavar="OUT", help="bounds CSV path")
 
-    p = sub.add_parser("synth", help="generate a synthetic elevation mesh")
+    p = command("synth", cmd_synth, "generate a synthetic elevation mesh")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--ecc2", type=float, default=0.0,
-                   help="signed squared eccentricity of the footprint")
-    p.add_argument("--scale-radius", type=float, default=5.5, help="mm")
-    p.add_argument("--noise-sigma", type=float, default=0.0, help="mm")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-x", type=int, default=123)
-    p.add_argument("--n-y", type=int, default=123)
-    p.add_argument("--out", required=True, help="mesh file path")
+    p.add_argument("--ecc2", type=float, help="signed squared eccentricity of the footprint")
+    p.add_argument("--scale-radius", type=float, help="mm")
+    p.add_argument("--noise-sigma", type=float, help="mm")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--n-x", type=int)
+    p.add_argument("--n-y", type=int)
+    p.add_argument("--out", dest="out_path", metavar="OUT", required=True,
+                   help="mesh file path")
 
-    p = sub.add_parser("fit", help="fit the model to a mesh file")
-    p.add_argument("--mesh", required=True)
-    p.add_argument("--level-fraction", type=float, default=0.5)
-    p.add_argument("--apex-window-fraction", type=float, default=0.4)
-    p.add_argument("--gradient-floor", type=float, default=1e-8)
-    p.add_argument("--apex-mask-radius", type=float, default=0.05)
-    p.add_argument("--out", default=None,
+    p = command("fit", cmd_fit, "fit the model to a mesh file")
+    p.add_argument("--mesh", dest="mesh_path", metavar="MESH", required=True)
+    p.add_argument("--level-fraction", type=float)
+    p.add_argument("--apex-window-fraction", type=float)
+    p.add_argument("--gradient-floor", type=float)
+    p.add_argument("--apex-mask-radius", type=float)
+    p.add_argument("--out", dest="out_path", metavar="OUT",
                    help="report path; the error grid goes to <out>.errors")
 
-    p = sub.add_parser("axial", help="axial-distance map of a mesh")
-    p.add_argument("--mesh", required=True)
-    p.add_argument("--fit", default=None,
+    p = command("axial", cmd_axial, "axial-distance map of a mesh")
+    p.add_argument("--mesh", dest="mesh_path", metavar="MESH", required=True)
+    p.add_argument("--fit", dest="fit_path", metavar="FIT",
                    help="fit report path; adds the model comparison grid")
-    p.add_argument("--gradient-floor", type=float, default=1e-8)
-    p.add_argument("--out", default=None,
+    p.add_argument("--gradient-floor", type=float)
+    p.add_argument("--out", dest="out_path", metavar="OUT",
                    help="d-field mesh path; errors go to <out>.errors")
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(_build_parser().parse_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    del args["command"]
+    run = args.pop("run")
 
     try:
-        if args.command == "solve":
-            report = cmd_solve(args.a, args.b, n_nodes=args.n_nodes, tol=args.tol,
-                               out_path=args.out, enforce_bound=args.enforce_bound)
-        elif args.command == "bounds":
-            report = cmd_bounds(args.a_min, args.a_max, n_samples=args.n_samples,
-                                out_path=args.out)
-        elif args.command == "synth":
-            report = cmd_synth(args.a, args.b, ecc2=args.ecc2,
-                               scale_radius=args.scale_radius,
-                               noise_sigma=args.noise_sigma, seed=args.seed,
-                               n_x=args.n_x, n_y=args.n_y, out_path=args.out)
-        elif args.command == "fit":
-            options = FitOptions(
-                level_fraction=args.level_fraction,
-                apex_window_fraction=args.apex_window_fraction,
-                gradient_floor=args.gradient_floor,
-                apex_mask_radius=args.apex_mask_radius,
-            )
-            report = cmd_fit(args.mesh, options=options, out_path=args.out)
-        else:
-            report = cmd_axial(args.mesh, fit_path=args.fit, out_path=args.out,
-                               gradient_floor=args.gradient_floor)
+        report = run(**args)
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -114,10 +114,17 @@ def _check_r(r, name, exclude_zero):
     return arr
 
 
+def _check_a_values(a):
+    arr = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+        raise ValueError(f"a must be positive and finite, got {a!r}")
+    return arr
+
+
 def _check_a(a):
-    if not (np.isscalar(a) or np.asarray(a).ndim == 0) or not math.isfinite(a) or a <= 0.0:
+    if np.ndim(a) != 0:
         raise ValueError(f"a must be a positive finite scalar, got {a!r}")
-    return float(a)
+    return float(_check_a_values(a))
 
 
 def _scalar_like(out, r):
@@ -197,26 +204,26 @@ def theorem1_b_max(a):
 
     (3 sqrt(3) / 2) sqrt(a) I0(sqrt(a)) / (I1(sqrt(a)) (2 I0(sqrt(a)) - 1));
     equivalently the b at which bound_constants(...).contraction = 1.
-    The existence guarantee requires b strictly below this value.
+    The existence guarantee requires b strictly below this value. a may
+    be an array; a scalar a gives a float.
     """
-    a = _check_a(a)
-    sa = math.sqrt(a)
+    sa = np.sqrt(_check_a_values(a))
     i0 = bessel_i(0, sa)
     i1 = bessel_i(1, sa)
-    return (3.0 * math.sqrt(3.0) / 2.0) * sa * i0 / (i1 * (2.0 * i0 - 1.0))
+    return _scalar_like((3.0 * math.sqrt(3.0) / 2.0) * sa * i0 / (i1 * (2.0 * i0 - 1.0)), a)
 
 
 def lemma_b_max(a):
     """Largest pressure for which the envelope estimates are certified.
 
     (sqrt(a)/I1(sqrt(a))) * sqrt(2 I0(sqrt(a)) - 1) / (I0(sqrt(a)) - 1);
-    diverges as a -> 0+ (the denominator vanishes). Non-strict bound.
+    diverges as a -> 0+ (the denominator vanishes). Non-strict bound. a
+    may be an array; a scalar a gives a float.
     """
-    a = _check_a(a)
-    sa = math.sqrt(a)
+    sa = np.sqrt(_check_a_values(a))
     i0 = bessel_i(0, sa)
     i1 = bessel_i(1, sa)
-    return (sa / i1) * math.sqrt(2.0 * i0 - 1.0) / (i0 - 1.0)
+    return _scalar_like((sa / i1) * np.sqrt(2.0 * i0 - 1.0) / (i0 - 1.0), a)
 
 
 def admissibility(params):

@@ -40,9 +40,10 @@ check and, through SolveReport, to its callers. picard_step and
 envelope_check are thin wrappers that build a plan per call. No plan is
 kept across calls.
 
-fd_oracle solves the same discrete problem by damped Newton on a
-conservative finite-difference stencil; it shares no quadrature with the
-Picard route and serves as its independent check.
+fd_oracle solves the same problem by damped Newton on the conservative
+finite-difference stencil that residual_sup evaluates; it shares no
+quadrature with the Picard route and serves as its independent check. It
+loads scipy on first use, so importing corneafit needs only numpy.
 """
 
 import math
@@ -50,7 +51,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import BoundViolation, HypothesisViolation, NoConvergence
 from .kernel import AdmissibilityReport, ModelParams, admissibility, dv0, dv1, v0, v1
@@ -343,27 +343,40 @@ def solve(params, grid, tol=1e-10, max_iter=50, enforce_bound=False):
     )
 
 
-def residual_sup(params, profile):
-    """Sup of the discrete equation residual over nodes with r < 1.
+def _flux_nodes(r):
+    # interior nodes and the flux midpoints below and above each
+    r_interior = r[1:-1]
+    return r_interior, 0.5 * (r_interior + r[:-2]), 0.5 * (r_interior + r[2:])
 
-    Centered second-order differences on h; the radial Laplacian uses
-    the conservative flux form, and r = 0 uses its regularized limit
-    -2 h''(0) + a h(0) = b (the slope there is 0, so P = 1).
-    """
-    r = profile.grid.nodes
-    h = profile.h
-    delta = profile.grid.spacing
+
+def _stencil_residual(params, grid, h, linearize=False):
+    """Residual of the conservative finite-difference equation at the nodes
+    with r < 1, and the centered slopes at the interior nodes. The radial
+    Laplacian uses the flux form; r = 0 uses its regularized limit
+    -2 h''(0) + a h(0) = b (the slope there is 0, so P = 1). With
+    linearize the pressure projection is frozen at P == 1."""
+    r_interior, r_mid_minus, r_mid_plus = _flux_nodes(grid.nodes)
+    delta = grid.spacing
+    delta2 = delta * delta
     a, b = params.a, params.b
-
-    at_origin = abs(-4.0 * (h[1] - h[0]) / delta**2 + a * h[0] - b)
-    r_mid_minus = 0.5 * (r[1:-1] + r[:-2])
-    r_mid_plus = 0.5 * (r[1:-1] + r[2:])
-    laplacian = (
-        r_mid_plus * (h[2:] - h[1:-1]) - r_mid_minus * (h[1:-1] - h[:-2])
-    ) / (r[1:-1] * delta**2)
     slope = (h[2:] - h[:-2]) / (2.0 * delta)
-    interior = np.abs(-laplacian + a * h[1:-1] - b / np.sqrt(1.0 + slope * slope))
-    return float(max(at_origin, interior.max(initial=0.0)))
+    pressure = np.ones_like(slope) if linearize else 1.0 / np.sqrt(1.0 + slope * slope)
+    f = np.empty(grid.n_nodes - 1)
+    f[0] = -4.0 * (h[1] - h[0]) / delta2 + a * h[0] - b
+    f[1:] = (
+        -(r_mid_plus * (h[2:] - h[1:-1]) - r_mid_minus * (h[1:-1] - h[:-2]))
+        / (r_interior * delta2)
+        + a * h[1:-1]
+        - b * pressure
+    )
+    return f, slope
+
+
+def residual_sup(params, profile):
+    """Sup over nodes with r < 1 of the residual of the stencil that
+    fd_oracle solves (see _stencil_residual)."""
+    f, _ = _stencil_residual(params, profile.grid, profile.h)
+    return float(np.max(np.abs(f)))
 
 
 def envelope_check(params, profile):
@@ -397,13 +410,14 @@ _FD_FLOOR_FACTOR = 4.0
 def fd_oracle(params, grid, tol=None, *, linearize=False):
     """Independent finite-difference solution by damped Newton.
 
-    Discretizes the equation with the conservative stencil used by
-    residual_sup, unknowns h_0 .. h_{n-2} (h_{n-1} = 0 fixed), and a
-    tridiagonal Jacobian; the step is halved (up to 30 times) while the
-    residual sup-norm fails to decrease. Shares nothing with the Picard
-    route beyond the closed-form initial guess. With linearize=True the
-    pressure projection is frozen at P == 1 (a self-check: the result
-    must approach h0 at the discretization rate).
+    Discretizes the equation with the conservative stencil of
+    residual_sup (both evaluate it with _stencil_residual), unknowns
+    h_0 .. h_{n-2} (h_{n-1} = 0 fixed), and a tridiagonal Jacobian; the
+    step is halved (up to 30 times) while the residual sup-norm fails to
+    decrease. Shares nothing with the Picard route beyond the closed-form
+    initial guess. With linearize=True the pressure projection is frozen
+    at P == 1 (a self-check: the result must approach h0 at the
+    discretization rate).
 
     The residual cannot be driven below the float64 noise floor of its
     own evaluation, eps max|h0| / delta^2 up to a factor near 1
@@ -414,35 +428,23 @@ def fd_oracle(params, grid, tol=None, *, linearize=False):
     quadratically, so digits below the floor would cost a stall, not
     accuracy. An explicit tol is used as given, even below the floor.
     """
+    # fd_oracle is scipy's only user and no CLI command calls it; a module
+    # import would double every command's start-up time and memory
+    from scipy.linalg import solve_banded
+
     r = grid.nodes
     n = grid.n_nodes
     delta = grid.spacing
     delta2 = delta * delta
     a, b = params.a, params.b
-
-    r_interior = r[1:-1]
-    r_mid_minus = 0.5 * (r_interior + r[:-2])
-    r_mid_plus = 0.5 * (r_interior + r[2:])
-
-    def residual_vector(h):
-        slope = (h[2:] - h[:-2]) / (2.0 * delta)
-        pressure = np.ones_like(slope) if linearize else 1.0 / np.sqrt(1.0 + slope * slope)
-        f = np.empty(n - 1)
-        f[0] = -4.0 * (h[1] - h[0]) / delta2 + a * h[0] - b
-        f[1:] = (
-            -(r_mid_plus * (h[2:] - h[1:-1]) - r_mid_minus * (h[1:-1] - h[:-2]))
-            / (r_interior * delta2)
-            + a * h[1:-1]
-            - b * pressure
-        )
-        return f, slope
+    r_interior, r_mid_minus, r_mid_plus = _flux_nodes(r)
 
     h = _h0_values(params, r)
     h[-1] = 0.0
     if tol is None:
         floor = np.finfo(float).eps * float(np.max(np.abs(h))) / delta2
         tol = max(1e-10, _FD_FLOOR_FACTOR * floor)
-    f, slope = residual_vector(h)
+    f, slope = _stencil_residual(params, grid, h, linearize)
     sup = float(np.max(np.abs(f)))
     for _ in range(50):
         if sup <= tol:
@@ -469,7 +471,7 @@ def fd_oracle(params, grid, tol=None, *, linearize=False):
         for _ in range(30):
             trial = h.copy()
             trial[:-1] = h[:-1] + scale * step
-            f_trial, slope_trial = residual_vector(trial)
+            f_trial, slope_trial = _stencil_residual(params, grid, trial, linearize)
             sup_trial = float(np.max(np.abs(f_trial)))
             if sup_trial < sup:
                 break

@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface, run in process."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import corneafit
 from corneafit import __version__, cli, fit
 from corneafit.cli import _write_csv, main
-from corneafit.data import SurfaceMesh, write_mesh
+from corneafit.data import SurfaceMesh, SynthSpec, write_mesh
+from corneafit.kernel import ModelParams
 
 
 def run(capsys, *argv):
@@ -370,3 +375,243 @@ class TestDeterminism:
         _, first, _ = run(capsys, "solve", "--a", "1.7", "--b", "2.1")
         _, second, _ = run(capsys, "solve", "--a", "1.7", "--b", "2.1")
         assert stable_lines(first) == stable_lines(second)
+
+
+# `corneafit <command> --help` at 80 columns. Renamed dests carry the
+# flag's own metavar, so the text names the flags, not the keywords.
+HELP_TEXT = {
+    "solve": """\
+usage: corneafit solve [-h] --a A --b B [--n-nodes N_NODES] [--tol TOL]
+                       [--enforce-bound] [--out OUT]
+
+options:
+  -h, --help         show this help message and exit
+  --a A              elastic parameter a > 0
+  --b B              pressure parameter b >= 0
+  --n-nodes N_NODES
+  --tol TOL
+  --enforce-bound    fail instead of warn when b >= theorem1_b_max(a)
+  --out OUT          profile CSV path
+""",
+    "bounds": """\
+usage: corneafit bounds [-h] --a-min A_MIN --a-max A_MAX
+                        [--n-samples N_SAMPLES] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --a-min A_MIN
+  --a-max A_MAX
+  --n-samples N_SAMPLES
+  --out OUT             bounds CSV path
+""",
+    "synth": """\
+usage: corneafit synth [-h] --a A --b B [--ecc2 ECC2]
+                       [--scale-radius SCALE_RADIUS]
+                       [--noise-sigma NOISE_SIGMA] [--seed SEED] [--n-x N_X]
+                       [--n-y N_Y] --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --a A
+  --b B
+  --ecc2 ECC2           signed squared eccentricity of the footprint
+  --scale-radius SCALE_RADIUS
+                        mm
+  --noise-sigma NOISE_SIGMA
+                        mm
+  --seed SEED
+  --n-x N_X
+  --n-y N_Y
+  --out OUT             mesh file path
+""",
+    "fit": """\
+usage: corneafit fit [-h] --mesh MESH [--level-fraction LEVEL_FRACTION]
+                     [--apex-window-fraction APEX_WINDOW_FRACTION]
+                     [--gradient-floor GRADIENT_FLOOR]
+                     [--apex-mask-radius APEX_MASK_RADIUS] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --mesh MESH
+  --level-fraction LEVEL_FRACTION
+  --apex-window-fraction APEX_WINDOW_FRACTION
+  --gradient-floor GRADIENT_FLOOR
+  --apex-mask-radius APEX_MASK_RADIUS
+  --out OUT             report path; the error grid goes to <out>.errors
+""",
+    "axial": """\
+usage: corneafit axial [-h] --mesh MESH [--fit FIT]
+                       [--gradient-floor GRADIENT_FLOOR] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --mesh MESH
+  --fit FIT             fit report path; adds the model comparison grid
+  --gradient-floor GRADIENT_FLOOR
+  --out OUT             d-field mesh path; errors go to <out>.errors
+""",
+}
+
+
+def recorder(monkeypatch, name):
+    """Replace cli.<name> by a wrapper that records its arguments."""
+    calls = []
+    original = getattr(cli, name)
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recorded)
+    return calls
+
+
+# The required flags of each command; paths are relative to the test's
+# working directory, which holds mesh.txt and its fit report fit.txt.
+REQUIRED = {
+    "solve": ["--a", "2", "--b", "2"],
+    "bounds": ["--a-min", "0.5", "--a-max", "5"],
+    "synth": ["--a", "2", "--b", "2", "--out", "new_mesh.txt"],
+    "fit": ["--mesh", "mesh.txt"],
+    "axial": ["--mesh", "mesh.txt"],
+}
+
+# Every optional flag but those of FitOptions, a value other than its
+# default, and the report key that echoes the parameter the flag reached.
+ECHOED_FLAGS = [
+    ("solve", ["--n-nodes", "201"], "n_nodes", 201),
+    ("solve", ["--tol", "1e-9"], "tol_nondim", 1e-9),
+    ("solve", ["--enforce-bound"], "enforce_bound", True),
+    ("solve", ["--out", "profile.csv"], "profile_csv", "profile.csv"),
+    ("bounds", ["--n-samples", "17"], "n_samples", 17),
+    ("bounds", ["--out", "bounds.csv"], "bounds_csv", "bounds.csv"),
+    ("synth", ["--ecc2", "0.02"], "ecc2_nondim", 0.02),
+    ("synth", ["--scale-radius", "5.2"], "scale_radius_mm", 5.2),
+    ("synth", ["--noise-sigma", "0.01"], "noise_sigma_mm", 0.01),
+    ("synth", ["--seed", "5"], "seed", 5),
+    ("synth", ["--n-x", "41"], "n_x", 41),
+    ("synth", ["--n-y", "43"], "n_y", 43),
+    ("fit", ["--out", "fit2.txt"], "report_path", "fit2.txt"),
+    ("axial", ["--fit", "fit.txt"], "fit_path", "fit.txt"),
+    ("axial", ["--out", "d.txt"], "d_mesh_path", "d.txt"),
+]
+
+FIT_FLAGS = [
+    ("--level-fraction", "level_fraction", 0.45),
+    ("--apex-window-fraction", "apex_window_fraction", 0.35),
+    ("--gradient-floor", "gradient_floor", 1e-7),
+    ("--apex-mask-radius", "apex_mask_radius", 0.06),
+]
+
+
+class TestFlagTable:
+    @pytest.fixture
+    def workdir(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--a", "2", "--b", "2", "--n-x", "61", "--n-y", "61",
+                     "--out", "mesh.txt"]) == 0
+        assert main(["fit", "--mesh", "mesh.txt", "--out", "fit.txt"]) == 0
+        capsys.readouterr()
+        return tmp_path
+
+    @pytest.mark.parametrize("command,flag,key,value", ECHOED_FLAGS)
+    def test_flag_reaches_its_parameter(self, capsys, workdir, command, flag, key, value):
+        default = parse_report(run(capsys, command, *REQUIRED[command])[1]).get(key)
+        code, stdout, _ = run(capsys, command, *REQUIRED[command], *flag)
+        assert code == 0
+        assert parse_report(stdout)[key] == cli._format_value(value) != default
+
+    @pytest.mark.parametrize("flag,field,value", FIT_FLAGS)
+    def test_fit_flag_reaches_fit_options(self, capsys, monkeypatch, workdir,
+                                          flag, field, value):
+        calls = recorder(monkeypatch, "fit_mesh")
+        code, _, _ = run(capsys, "fit", *REQUIRED["fit"], flag, str(value))
+        assert code == 0
+        (_, options), _ = calls[0]
+        assert getattr(fit.FitOptions(), field) != value
+        assert options == dataclasses.replace(fit.FitOptions(), **{field: value})
+
+    @pytest.mark.parametrize("route,extra", [("axial_distance_map", []),
+                                             ("axial_error_grid", ["--fit", "fit.txt"])])
+    def test_axial_gradient_floor_reaches_the_map(self, capsys, monkeypatch, workdir,
+                                                  route, extra):
+        def floor_of(call):
+            args, kwargs = call
+            return kwargs["gradient_floor"] if "gradient_floor" in kwargs else args[5]
+
+        calls = recorder(monkeypatch, route)
+        assert run(capsys, "axial", *REQUIRED["axial"], *extra)[0] == 0
+        assert run(capsys, "axial", *REQUIRED["axial"], *extra,
+                   "--gradient-floor", "1e-7")[0] == 0
+        assert [floor_of(call) for call in calls] == [fit.FitOptions().gradient_floor, 1e-7]
+
+    def test_synth_flags_build_the_spec(self, capsys, monkeypatch, workdir):
+        calls = recorder(monkeypatch, "generate_synthetic")
+        code, stdout, _ = run(capsys, "synth", *REQUIRED["synth"], "--ecc2", "0.02",
+                              "--scale-radius", "5.2", "--noise-sigma", "0.01",
+                              "--seed", "5", "--n-x", "41", "--n-y", "43")
+        assert code == 0
+        (spec,), _ = calls[0]
+        assert spec == SynthSpec(params=ModelParams(a=2.0, b=2.0), scale_radius=5.2,
+                                 ellipse=fit.DomainEllipse.from_signed_ecc_sq(0.02),
+                                 noise_sigma=0.01, seed=5, n_x=41, n_y=43)
+
+    def test_omitted_fit_flags_give_fit_options_defaults(self, capsys, monkeypatch, workdir):
+        calls = recorder(monkeypatch, "fit_mesh")
+        assert run(capsys, "fit", *REQUIRED["fit"])[0] == 0
+        assert calls[0][0][1] == fit.FitOptions()
+
+    def test_omitted_synth_flags_give_synth_spec_defaults(self, capsys, monkeypatch, workdir):
+        calls = recorder(monkeypatch, "generate_synthetic")
+        assert run(capsys, "synth", *REQUIRED["synth"])[0] == 0
+        (spec,), _ = calls[0]
+        assert spec == SynthSpec(params=spec.params, scale_radius=spec.scale_radius,
+                                 ellipse=spec.ellipse)
+
+    @pytest.mark.parametrize("argv,direct", [
+        (["solve", "--a", "2", "--b", "2"], lambda: cli.cmd_solve(2.0, 2.0)),
+        (["bounds", "--a-min", "0.5", "--a-max", "5"], lambda: cli.cmd_bounds(0.5, 5.0)),
+    ])
+    def test_omitted_flags_match_a_direct_call(self, capsys, argv, direct):
+        def stable(text):
+            return [line for line in text.splitlines() if not line.startswith("timing_ms")]
+
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        assert stable(stdout) == stable(direct().render())
+
+    @pytest.mark.parametrize("command,keys", [
+        ("solve", {"a", "b"}), ("bounds", {"a_min", "a_max"}),
+        ("synth", {"a", "b", "out_path"}), ("fit", {"mesh_path"}), ("axial", {"mesh_path"}),
+    ])
+    def test_omitted_flags_leave_no_key(self, command, keys):
+        args = vars(cli._build_parser().parse_args([command, *REQUIRED[command]]))
+        assert set(args) == keys | {"command", "run"}
+
+    @pytest.mark.parametrize("command", sorted(HELP_TEXT))
+    def test_help_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, stdout, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert stdout == HELP_TEXT[command]
+
+    @pytest.mark.parametrize("argv", [["solve", "--a", "2"], ["bounds", "--a-min", "1"],
+                                      ["synth", "--a", "2", "--b", "2"], ["fit"], ["axial"],
+                                      ["solve", "--a", "2", "--b", "2", "--n-nodes", "x"]])
+    def test_argparse_errors_exit_2(self, capsys, argv):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("usage: corneafit " + argv[0])
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only fd_oracle, which no command calls
+    src = os.path.dirname(os.path.dirname(corneafit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, corneafit.cli; "
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -197,6 +197,50 @@ class TestBounds:
                 lemma_b_max(bad)
 
 
+def scalar_theorem1_b_max(a):
+    # theorem1_b_max as written before it accepted arrays
+    sa = math.sqrt(a)
+    i0, i1 = bessel_i(0, sa), bessel_i(1, sa)
+    return (3.0 * math.sqrt(3.0) / 2.0) * sa * i0 / (i1 * (2.0 * i0 - 1.0))
+
+
+def scalar_lemma_b_max(a):
+    # lemma_b_max as written before it accepted arrays
+    sa = math.sqrt(a)
+    i0, i1 = bessel_i(0, sa), bessel_i(1, sa)
+    return (sa / i1) * math.sqrt(2.0 * i0 - 1.0) / (i0 - 1.0)
+
+
+BOUNDS = [(theorem1_b_max, scalar_theorem1_b_max), (lemma_b_max, scalar_lemma_b_max)]
+
+
+class TestBoundsOnArrays:
+    @pytest.mark.parametrize("bound,scalar", BOUNDS)
+    @pytest.mark.parametrize("grid", [np.linspace(0.5, 5.0, 200), np.linspace(0.25, 8.0, 160),
+                                      np.geomspace(1e-6, 1e4, 400)],
+                             ids=["cli", "demo", "wide"])
+    def test_array_equals_the_scalar_loop(self, bound, scalar, grid):
+        np.testing.assert_array_equal(bound(grid), [scalar(float(a)) for a in grid])
+
+    @pytest.mark.parametrize("bound,scalar", BOUNDS)
+    def test_scalar_gives_float_and_arrays_keep_their_shape(self, bound, scalar):
+        for a in (2.0, np.float64(2.0), np.array(2.0)):
+            value = bound(a)
+            assert type(value) is float and value == scalar(2.0)
+        assert bound(np.full((2, 3), 2.0)).shape == (2, 3)
+
+    @pytest.mark.parametrize("bound", [theorem1_b_max, lemma_b_max])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_array_with_a_bad_value_raises(self, bound, bad):
+        with pytest.raises(ValueError):
+            bound(np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("table", [v0, v1, dv0, dv1])
+    def test_kernel_tables_still_need_a_scalar_a(self, table):
+        with pytest.raises(ValueError):
+            table(0.5, np.array([1.0, 2.0]))
+
+
 class TestAdmissibility:
     @pytest.mark.parametrize("a,b", PAPER_PAIRS)
     def test_reference_pairs_admissible(self, a, b):

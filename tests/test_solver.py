@@ -359,7 +359,34 @@ class TestSharedBesselArrays:
         assert sum(sizes) == 2 * n + sum(1 for size in sizes if size == 1)
 
 
+def inline_residual_sup(params, profile):
+    # residual_sup as written before it shared fd_oracle's stencil; it
+    # divides b by sqrt(1 + s^2) where the shared stencil multiplies b by P
+    r = profile.grid.nodes
+    h = profile.h
+    delta = profile.grid.spacing
+    a, b = params.a, params.b
+
+    at_origin = abs(-4.0 * (h[1] - h[0]) / delta**2 + a * h[0] - b)
+    r_mid_minus = 0.5 * (r[1:-1] + r[:-2])
+    r_mid_plus = 0.5 * (r[1:-1] + r[2:])
+    laplacian = (
+        r_mid_plus * (h[2:] - h[1:-1]) - r_mid_minus * (h[1:-1] - h[:-2])
+    ) / (r[1:-1] * delta**2)
+    slope = (h[2:] - h[:-2]) / (2.0 * delta)
+    interior = np.abs(-laplacian + a * h[1:-1] - b / np.sqrt(1.0 + slope * slope))
+    return float(max(at_origin, interior.max(initial=0.0)))
+
+
 class TestResidual:
+    @pytest.mark.parametrize("a,b", REFERENCE_PAIRS)
+    @pytest.mark.parametrize("n", [101, 401, 4001])
+    def test_matches_the_inline_stencil(self, a, b, n):
+        params = ModelParams(a=a, b=b)
+        grid = RadialGrid.uniform(n)
+        for profile in (solve(params, grid).profile, h0_profile(params, grid)):
+            assert abs(residual_sup(params, profile) - inline_residual_sup(params, profile)) <= 1e-15
+
     def test_converged_residual_small(self):
         report = solve(TWO_TWO, RadialGrid.uniform(401))
         assert report.residual_sup <= 1e-3
