@@ -3,15 +3,10 @@
 Writes admissible_region.csv with both bound curves over a wide a-range.
 """
 
-import numpy as np
-
 from corneafit import ModelParams, admissibility, lemma_b_max, theorem1_b_max
+from corneafit.cli import cmd_bounds
 
 PUBLISHED = [(2.07883, 2.76741), (1.94398, 2.27534)]
-
-a_grid = np.linspace(0.25, 8.0, 160)
-theorem_curve = theorem1_b_max(a_grid)
-lemma_curve = lemma_b_max(a_grid)
 
 print("admissibility bounds (b must stay below both curves)")
 print(f"{'a':>6}  {'theorem1_b_max':>15}  {'lemma_b_max':>12}")
@@ -28,9 +23,7 @@ for a, b in PUBLISHED:
     print(f"  (a, b) = ({a}, {b}): {status}; margins "
           f"theorem1 {t_margin:+.4f}, lemma {l_margin:+.4f}")
 
-with open("admissible_region.csv", "w") as handle:
-    handle.write("a,theorem1_b_max,lemma_b_max\n")
-    for a, t, l in zip(a_grid, theorem_curve, lemma_curve):
-        handle.write(f"{a:.17g},{t:.17g},{l:.17g}\n")
+# the same table the `bounds` command writes
+cmd_bounds(0.25, 8.0, n_samples=160, out_path="admissible_region.csv")
 print()
 print("wrote admissible_region.csv")

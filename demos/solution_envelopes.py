@@ -31,8 +31,12 @@ margin_high = np.min(upper - report.profile.h)
 print(f"sandwich margins:  min(h - A h1) = {margin_low:.3e}, "
       f"min(h0 - h) = {margin_high:.3e}")
 
-with open("solution_envelopes.csv", "w") as handle:
-    handle.write("r,lower_A_h1,h,upper_h0\n")
-    for r, lo, h, hi in zip(grid.nodes, lower, report.profile.h, upper):
-        handle.write(f"{r:.17g},{lo:.17g},{h:.17g},{hi:.17g}\n")
+np.savetxt(
+    "solution_envelopes.csv",
+    np.column_stack([grid.nodes, lower, report.profile.h, upper]),
+    fmt="%.17g",
+    delimiter=",",
+    header="r,lower_A_h1,h,upper_h0",
+    comments="",
+)
 print("wrote solution_envelopes.csv")

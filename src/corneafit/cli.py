@@ -20,7 +20,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .data import SynthSpec, _read_ascii, generate_synthetic, read_mesh, write_mesh
+from .data import (
+    SynthSpec,
+    _read_ascii,
+    _write_csv,
+    generate_synthetic,
+    read_mesh,
+    write_mesh,
+)
 from .errors import (
     ApexNotFound,
     BoundViolation,
@@ -60,22 +67,6 @@ def _format_value(value):
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
-
-
-_CSV_BLOCK_ROWS = 512
-
-
-def _write_csv(path, header, columns):
-    # One %-format per row over Python floats gives the same text as
-    # format(v, ".17g") per value. Rows go out in blocks, so only one
-    # block's values exist as Python floats at a time.
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-    columns = [np.asarray(column) for column in columns]
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = [column[start:start + _CSV_BLOCK_ROWS].tolist() for column in columns]
-            handle.writelines(row_format % row for row in zip(*block))
 
 
 def cmd_solve(a, b, n_nodes=401, tol=1e-10, out_path=None, enforce_bound=False):

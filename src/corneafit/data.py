@@ -10,7 +10,8 @@ Text format (ASCII): a header line
 
 followed by `rows` lines of `cols` whitespace-separated values, missing
 samples written as the literal ``nan``. Floats are written with 17
-significant digits, so write -> read is bit-exact.
+significant digits, so write -> read is bit-exact. CSV tables (a line of
+column names, then comma-separated rows) share the mesh writer.
 
 Synthetic meshes sample the closed-form linearized surface over an
 elliptical footprint. Noise is generated by a counter-based scheme so a
@@ -166,15 +167,6 @@ def generate_synthetic(spec):
     )
 
 
-def _file_line(lines, row):
-    """1-based file line of body row `row` (blank lines hold no row).
-
-    Only error paths call this, so the parse loop keeps no line count.
-    """
-    numbers = [number for number, line in enumerate(lines[1:], start=2) if line.strip()]
-    return numbers[row]
-
-
 def _read_ascii(path):
     """The text of an ASCII file; a non-ASCII byte raises ParseError
     naming its line."""
@@ -217,28 +209,28 @@ def read_mesh(path):
     if not (math.isfinite(origin_x) and math.isfinite(origin_y)):
         raise ParseError("header origins must be finite", line=1)
 
-    body = [line for line in lines[1:] if line.strip()]
+    body = [(number, line) for number, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(body) != rows:
         raise DimensionMismatch(
             f"header declares {rows} rows, file has {len(body)}", line=len(lines)
         )
-    z = np.empty((rows, cols))
-    for i, line in enumerate(body):
+    # rows are stacked only after every width is checked against the header
+    z_rows = []
+    for number, line in body:
         tokens = line.split()
         if len(tokens) != cols:
             raise DimensionMismatch(
-                f"row has {len(tokens)} values, expected {cols}",
-                line=_file_line(lines, i),
+                f"row has {len(tokens)} values, expected {cols}", line=number
             )
         try:
-            z[i] = [float(token) for token in tokens]
+            z_rows.append(np.fromiter(map(float, tokens), float, cols))
         except ValueError:
             for j, token in enumerate(tokens):
                 try:
                     float(token)
                 except ValueError:
                     raise ParseError(
-                        f"bad value {token!r}", line=_file_line(lines, i), column=j + 1
+                        f"bad value {token!r}", line=number, column=j + 1
                     ) from None
             raise
 
@@ -249,19 +241,35 @@ def read_mesh(path):
         spacing_y=spacing_y,
         origin_x=origin_x,
         origin_y=origin_y,
-        z=z,
+        z=np.vstack(z_rows),
     )
 
 
 def write_mesh(mesh, path):
     """Write the text format with 17 significant digits (bit-exact)."""
-    # One %-format per row over Python floats gives the same text as
-    # format(v, ".17g") per value, nan and inf included. Converting a row
-    # at a time keeps one row of Python floats alive, not the whole mesh.
-    row_format = " ".join(["%.17g"] * mesh.n_x) + "\n"
+    header = (f"{mesh.n_y} {mesh.n_x} {mesh.spacing_x:.17g} {mesh.spacing_y:.17g} "
+              f"{mesh.origin_x:.17g} {mesh.origin_y:.17g}")
+    _write_table(path, header, mesh.z, " ")
+
+
+def _write_csv(path, header, columns):
+    """A CSV with one column per array, under a row of column names."""
+    _write_table(path, ",".join(header), np.column_stack(columns), ",")
+
+
+_TABLE_BLOCK_VALUES = 1024
+
+
+def _write_table(path, header, table, sep):
+    """The header line, then each row of the 2-D float array `table` as
+    %.17g values joined by `sep`: the same text as format(v, ".17g") per
+    value, nan and inf included. Rows become Python floats one block of
+    about _TABLE_BLOCK_VALUES values at a time, never the whole table."""
+    n_rows, n_cols = table.shape
+    row_format = sep.join(["%.17g"] * n_cols) + "\n"
+    step = max(1, _TABLE_BLOCK_VALUES // n_cols)
     with open(path, "w", encoding="ascii") as handle:
-        handle.write(
-            f"{mesh.n_y} {mesh.n_x} {mesh.spacing_x:.17g} {mesh.spacing_y:.17g} "
-            f"{mesh.origin_x:.17g} {mesh.origin_y:.17g}\n"
-        )
-        handle.writelines(row_format % tuple(row.tolist()) for row in mesh.z)
+        handle.write(header + "\n")
+        for start in range(0, n_rows, step):
+            block = table[start:start + step].tolist()
+            handle.writelines(row_format % tuple(row) for row in block)

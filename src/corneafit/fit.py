@@ -56,6 +56,12 @@ class ApexMeasurements:
             raise ValueError("max_deflection must be smaller than scale_radius")
 
 
+def _signed_ecc_sq(semi_axis_x, semi_axis_y):
+    """1 - (min/max)^2, negated when the y semi-axis is the longer one."""
+    ecc = 1.0 - (min(semi_axis_x, semi_axis_y) / max(semi_axis_x, semi_axis_y)) ** 2
+    return -ecc if semi_axis_y > semi_axis_x else ecc
+
+
 @dataclass(frozen=True)
 class DomainEllipse:
     """Axis-aligned footprint ellipse, semi-axes normalized to geometric mean 1.
@@ -73,11 +79,7 @@ class DomainEllipse:
             raise ValueError("semi-axes must be positive")
         if abs(self.semi_axis_x * self.semi_axis_y - 1.0) > 1e-9:
             raise ValueError("semi-axes must have geometric mean 1")
-        small = min(self.semi_axis_x, self.semi_axis_y)
-        big = max(self.semi_axis_x, self.semi_axis_y)
-        implied = 1.0 - (small / big) ** 2
-        if self.semi_axis_y > self.semi_axis_x:
-            implied = -implied
+        implied = _signed_ecc_sq(self.semi_axis_x, self.semi_axis_y)
         if abs(self.signed_ecc_sq - implied) > 1e-9:
             raise ValueError("signed_ecc_sq inconsistent with the semi-axes")
 
@@ -87,10 +89,7 @@ class DomainEllipse:
             raise ValueError("semi-axes must be positive")
         mean = math.sqrt(semi_axis_x * semi_axis_y)
         rx, ry = semi_axis_x / mean, semi_axis_y / mean
-        ecc = 1.0 - (min(rx, ry) / max(rx, ry)) ** 2
-        if ry > rx:
-            ecc = -ecc
-        return cls(semi_axis_x=rx, semi_axis_y=ry, signed_ecc_sq=ecc)
+        return cls(semi_axis_x=rx, semi_axis_y=ry, signed_ecc_sq=_signed_ecc_sq(rx, ry))
 
     @classmethod
     def from_signed_ecc_sq(cls, signed_ecc_sq):
@@ -185,13 +184,15 @@ def calibrate_b(a, rho0_nondim):
     return 2.0 * bessel_i(0, math.sqrt(a)) / rho0_nondim
 
 
-def _calibration_scan(half_product):
-    """g(a) = half_product a - I0(sqrt(a)) + 1 on the 600-point scan grid.
+def _calibration_g(half_product, a):
+    """g(a) = half_product a - I0(sqrt(a)) + 1, for a float or an array."""
+    return half_product * a - bessel_i(0, np.sqrt(a)) + 1.0
 
-    One array Bessel call; the values equal the scalar g(a), node by node.
-    """
+
+def _calibration_scan(half_product):
+    """g on the 600-point scan grid, in one array Bessel call."""
     grid = np.geomspace(1e-8, 100.0, 600)
-    return grid, half_product * grid - bessel_i(0, np.sqrt(grid)) + 1.0
+    return grid, _calibration_g(half_product, grid)
 
 
 def calibrate_a(h00_nondim, rho0_nondim):
@@ -212,9 +213,6 @@ def calibrate_a(h00_nondim, rho0_nondim):
         raise ValueError("rho0_nondim must be positive and finite")
     half_product = 0.5 * h00_nondim * rho0_nondim
 
-    def g(a):
-        return half_product * a - bessel_i(0, math.sqrt(a)) + 1.0
-
     def dg(a):
         root = math.sqrt(a)
         return half_product - bessel_i(1, root) / (2.0 * root)
@@ -229,7 +227,7 @@ def calibrate_a(h00_nondim, rho0_nondim):
     # a scan bracket (about 4% wide) reaches float resolution after about
     # 55 midpoint steps, so 80 suffice even if every Newton step is rejected
     for _ in range(80):
-        value = g(a)
+        value = _calibration_g(half_product, a)
         if abs(value) <= 1e-12:
             return a
         if value > 0.0:
@@ -252,10 +250,6 @@ def elliptical_radius(x, y, ellipse):
     return out
 
 
-def _mesh_grids(mesh):
-    return np.meshgrid(mesh.x_coords, mesh.y_coords)
-
-
 def _measure_apex(mesh, options):
     """Locate the apex and return (x, y, height, central radius), all mm.
 
@@ -269,14 +263,15 @@ def _measure_apex(mesh, options):
     z, valid = mesh.z, mesh.valid
     if not np.any(valid):
         raise ApexNotFound("mesh has no valid samples")
-    grid_x, grid_y = _mesh_grids(mesh)
     flat = int(np.argmax(np.where(valid, z, -np.inf)))
     i0, j0 = divmod(flat, mesh.n_x)
     if i0 in (0, mesh.n_y - 1) or j0 in (0, mesh.n_x - 1):
         raise ApexNotFound("maximum elevation lies on the mesh boundary")
 
-    node_x, node_y = grid_x[i0, j0], grid_y[i0, j0]
-    dist = np.hypot(grid_x - node_x, grid_y - node_y)
+    x_coords, y_coords = mesh.x_coords, mesh.y_coords
+    node_x, node_y = x_coords[j0], y_coords[i0]
+    offset_x, offset_y = np.meshgrid(x_coords - node_x, y_coords - node_y)
+    dist = np.hypot(offset_x, offset_y)
     footprint = float(dist[valid].max())
     if footprint <= 0.0:
         raise ApexNotFound("footprint is a single point")
@@ -284,8 +279,8 @@ def _measure_apex(mesh, options):
     window = valid & (dist <= window_radius)
     # window-normalized coordinates keep the quartic basis conditioned
     # regardless of the mesh's length unit
-    u = (grid_x - node_x)[window] / window_radius
-    v = (grid_y - node_y)[window] / window_radius
+    u = offset_x[window] / window_radius
+    v = offset_y[window] / window_radius
     w = z[window]
     if u.size < 9:
         raise ApexNotFound("too few valid samples near the maximum")
@@ -431,7 +426,7 @@ def fit_mesh(mesh, options=None):
         level=options.level_fraction * height_mm,
     )
 
-    grid_x, grid_y = _mesh_grids(mesh)
+    grid_x, grid_y = np.meshgrid(mesh.x_coords, mesh.y_coords)
     radial_mm = elliptical_radius(grid_x - apex_x, grid_y - apex_y, ellipse)
     scale = float(radial_mm[mesh.valid].max())
     apex = ApexMeasurements(
@@ -520,7 +515,7 @@ def axial_distance_map(mesh_or_model, ellipse, gradient_floor=1e-8):
     if isinstance(mesh_or_model, ModelSurface):
         model = mesh_or_model
         template = model.template
-        grid_x, grid_y = _mesh_grids(template)
+        grid_x, grid_y = np.meshgrid(template.x_coords, template.y_coords)
         scale = model.scale_radius
         rel = elliptical_radius(grid_x / scale, grid_y / scale, ellipse)
         inside = rel <= 1.0
@@ -536,7 +531,7 @@ def axial_distance_map(mesh_or_model, ellipse, gradient_floor=1e-8):
         defined = inside
     else:
         mesh = mesh_or_model
-        grid_x, grid_y = _mesh_grids(mesh)
+        grid_x, grid_y = np.meshgrid(mesh.x_coords, mesh.y_coords)
         z, valid = mesh.z, mesh.valid
         grad_x = np.full(z.shape, np.nan)
         grad_y = np.full(z.shape, np.nan)

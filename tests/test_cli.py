@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import corneafit
-from corneafit import __version__, cli, fit
+from corneafit import __version__, cli, data, fit
 from corneafit.cli import _write_csv, main
 from corneafit.data import SurfaceMesh, SynthSpec, write_mesh
 from corneafit.kernel import ModelParams
@@ -111,6 +111,24 @@ class TestCsvWriter:
         expected = "x,y\n" + "".join(
             ",".join(format(v, ".17g") for v in row) + "\n"
             for row in zip(first, second)
+        )
+        assert path.read_text() == expected
+
+    def test_tall_table_spanning_several_blocks(self, tmp_path):
+        # two columns put many rows in each write block; this table fills
+        # two blocks and part of a third, with special values straddling
+        # the first block boundary
+        n_rows = 2 * (data._TABLE_BLOCK_VALUES // 2) + 5
+        first = np.random.default_rng(3).standard_normal(n_rows)
+        second = np.linspace(-1.0, 1.0, n_rows) ** 3
+        special = [-0.0, 5e-324, -4.9e-322, np.nan, np.inf, -np.inf, 0.1, 1e300]
+        for start in (0, data._TABLE_BLOCK_VALUES // 2 - 3, n_rows - len(special)):
+            first[start:start + len(special)] = special
+            second[start:start + len(special)] = special[::-1]
+        path = tmp_path / "table.csv"
+        _write_csv(str(path), ["p", "q"], [first, second])
+        expected = "p,q\n" + "".join(
+            f"{format(u, '.17g')},{format(v, '.17g')}\n" for u, v in zip(first, second)
         )
         assert path.read_text() == expected
 
@@ -311,6 +329,15 @@ class TestSilentFailuresExitLoudly:
                                    "--gradient-floor", floor)
         assert code == 2
         assert "gradient_floor" in stderr
+        assert stdout == ""
+
+    @pytest.mark.parametrize("command", ["fit", "axial"])
+    def test_oversized_mesh_header_exits_1_naming_the_row(self, capsys, tmp_path, command):
+        mesh_path = tmp_path / "mesh.txt"
+        mesh_path.write_text("2 1000000000000 1.0 1.0 0.0 0.0\n1.0 2.0\n3.0 4.0\n")
+        code, stdout, stderr = run(capsys, command, "--mesh", str(mesh_path))
+        assert code == 1
+        assert stderr == "error: row has 2 values, expected 1000000000000 (line 2)\n"
         assert stdout == ""
 
     @pytest.mark.parametrize("command", ["fit", "axial"])

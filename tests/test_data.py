@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from corneafit import data
 from corneafit.data import (
     SurfaceMesh,
     SynthSpec,
@@ -156,6 +157,16 @@ class TestTextFormat:
         assert excinfo.value.line == 5
         assert excinfo.value.column == 2
 
+    def test_oversized_header_is_refused_before_any_allocation(self, tmp_path):
+        # numpy refuses a (2, 10**12) array outright, so a reader that sizes
+        # its array from the header fails here instead of naming the row
+        path = tmp_path / "mesh.txt"
+        path.write_text("2 1000000000000 1.0 1.0 0.0 0.0\n1.0 2.0\n3.0 4.0\n")
+        with pytest.raises(DimensionMismatch) as excinfo:
+            read_mesh(path)
+        assert excinfo.value.line == 2
+        assert str(excinfo.value) == "row has 2 values, expected 1000000000000 (line 2)"
+
     def test_dimension_mismatch_is_a_parse_error(self):
         assert issubclass(DimensionMismatch, ParseError)
 
@@ -190,6 +201,27 @@ class TestMeshWriter:
             + "".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in z)
         )
         assert path.read_text() == expected
+
+    def test_wide_mesh_spanning_several_blocks(self, tmp_path):
+        # 300 columns leave a few rows per write block; the row count ends
+        # on a partial block
+        n_x = 300
+        n_y = 3 * (data._TABLE_BLOCK_VALUES // n_x) + 1
+        z = np.random.default_rng(2).standard_normal((n_y, n_x)) * 1e3
+        special = [-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, np.nan,
+                   np.inf, -np.inf, 1.7976931348623157e308]
+        z[:, :len(special)] = special
+        z[n_y // 2, ::7] = np.nan
+        mesh = SurfaceMesh(n_x=n_x, n_y=n_y, spacing_x=0.1, spacing_y=0.2,
+                           origin_x=-30.0, origin_y=-0.0, z=z)
+        path = tmp_path / "mesh.txt"
+        write_mesh(mesh, path)
+        lines = path.read_text().split("\n")
+        assert lines[0] == f"{n_y} {n_x} 0.10000000000000001 0.20000000000000001 -30 -0"
+        assert lines[1:] == [" ".join(format(v, ".17g") for v in row) for row in z] + [""]
+        back = read_mesh(path)
+        np.testing.assert_array_equal(back.z, z)
+        assert np.array_equal(np.signbit(back.z), np.signbit(z))
 
     def test_non_ascii_byte_is_a_parse_error_naming_its_line(self, tmp_path):
         path = tmp_path / "mesh.txt"
