@@ -13,6 +13,7 @@ calibration root); 3 degenerate data (no apex, no level curve).
 """
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -289,10 +290,14 @@ def cmd_axial(mesh_path, fit_path=None, out_path=None,
     )
 
 
+@functools.cache
 def _build_parser():
     """One subparser per cmd_* function, each flag's dest its keyword.
     Flags declare no defaults: an omitted flag is left out of the
-    namespace, so the command's or the library's default applies."""
+    namespace, so the command's or the library's default applies.
+
+    Built once per process: every parse_args call fills a fresh
+    namespace, so main can reuse the parser for each call."""
     parser = argparse.ArgumentParser(
         prog="corneafit",
         description="Membrane-model corneal topography: solve, calibrate, fit.",

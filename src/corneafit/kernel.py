@@ -140,18 +140,21 @@ def v0(r, a):
     return _scalar_like(bessel_i(0, math.sqrt(a) * arr), r)
 
 
-def v1(r, a, *, _i0_r=None):
+def v1(r, a, *, _i0_r=None, _i0=None, _k0=None):
     """I0(sqrt(a)) K0(sqrt(a) r) - I0(sqrt(a) r) K0(sqrt(a)) on (0, 1].
 
     Nonnegative, nonincreasing, v1(1) = 0; diverges logarithmically as
-    r -> 0+, so r = 0 is a domain error (see module docstring). _i0_r is
-    private to the solver plan: I0(sqrt(a) r) already evaluated on r.
+    r -> 0+, so r = 0 is a domain error (see module docstring). _i0_r,
+    _i0 and _k0 are private to the solver plan: I0(sqrt(a) r) already
+    evaluated on r, I0(sqrt(a)) and K0(sqrt(a)).
     """
     arr = _check_r(r, "v1", exclude_zero=True)
     a = _check_a(a)
     sa = math.sqrt(a)
     i0_r = bessel_i(0, sa * arr) if _i0_r is None else _i0_r
-    out = bessel_i(0, sa) * bessel_k(0, sa * arr) - i0_r * bessel_k(0, sa)
+    i0 = bessel_i(0, sa) if _i0 is None else _i0
+    k0 = bessel_k(0, sa) if _k0 is None else _k0
+    out = i0 * bessel_k(0, sa * arr, _i_z=i0_r) - i0_r * k0
     return _scalar_like(out, r)
 
 
@@ -168,18 +171,21 @@ def dv0(r, a, *, _i1_r=None):
     return _scalar_like(sa * i1_r, r)
 
 
-def dv1(r, a, *, _i1_r=None):
+def dv1(r, a, *, _i1_r=None, _i0=None, _k0=None):
     """v1'(r) = -sqrt(a) (I0(sqrt(a)) K1(sqrt(a) r) + I1(sqrt(a) r) K0(sqrt(a))).
 
     Nonpositive on (0, 1]; -r * dv1(r) is nonincreasing with limit
-    I0(sqrt(a)) as r -> 0+. _i1_r is private to the solver plan:
-    I1(sqrt(a) r) already evaluated on r.
+    I0(sqrt(a)) as r -> 0+. _i1_r, _i0 and _k0 are private to the solver
+    plan: I1(sqrt(a) r) already evaluated on r, I0(sqrt(a)) and
+    K0(sqrt(a)).
     """
     arr = _check_r(r, "dv1", exclude_zero=True)
     a = _check_a(a)
     sa = math.sqrt(a)
     i1_r = bessel_i(1, sa * arr) if _i1_r is None else _i1_r
-    out = -sa * (bessel_i(0, sa) * bessel_k(1, sa * arr) + i1_r * bessel_k(0, sa))
+    i0 = bessel_i(0, sa) if _i0 is None else _i0
+    k0 = bessel_k(0, sa) if _k0 is None else _k0
+    out = -sa * (i0 * bessel_k(1, sa * arr, _i_z=i1_r) + i1_r * k0)
     return _scalar_like(out, r)
 
 
@@ -199,37 +205,43 @@ def bound_constants(params):
     return KernelBounds(q_bound=q, r_bound=r, lipschitz_m=LIPSCHITZ_M, contraction=LIPSCHITZ_M * r)
 
 
-def theorem1_b_max(a):
+def theorem1_b_max(a, *, _i0=None, _i1=None):
     """Largest pressure with a guaranteed contraction at stiffness a.
 
     (3 sqrt(3) / 2) sqrt(a) I0(sqrt(a)) / (I1(sqrt(a)) (2 I0(sqrt(a)) - 1));
     equivalently the b at which bound_constants(...).contraction = 1.
     The existence guarantee requires b strictly below this value. a may
-    be an array; a scalar a gives a float.
+    be an array; a scalar a gives a float. _i0 and _i1 are private to
+    the solver plan: I0(sqrt(a)) and I1(sqrt(a)) already evaluated.
     """
     sa = np.sqrt(_check_a_values(a))
-    i0 = bessel_i(0, sa)
-    i1 = bessel_i(1, sa)
+    i0 = bessel_i(0, sa) if _i0 is None else _i0
+    i1 = bessel_i(1, sa) if _i1 is None else _i1
     return _scalar_like((3.0 * math.sqrt(3.0) / 2.0) * sa * i0 / (i1 * (2.0 * i0 - 1.0)), a)
 
 
-def lemma_b_max(a):
+def lemma_b_max(a, *, _i0=None, _i1=None):
     """Largest pressure for which the envelope estimates are certified.
 
     (sqrt(a)/I1(sqrt(a))) * sqrt(2 I0(sqrt(a)) - 1) / (I0(sqrt(a)) - 1);
     diverges as a -> 0+ (the denominator vanishes). Non-strict bound. a
-    may be an array; a scalar a gives a float.
+    may be an array; a scalar a gives a float. _i0 and _i1 as in
+    theorem1_b_max.
     """
     sa = np.sqrt(_check_a_values(a))
-    i0 = bessel_i(0, sa)
-    i1 = bessel_i(1, sa)
+    i0 = bessel_i(0, sa) if _i0 is None else _i0
+    i1 = bessel_i(1, sa) if _i1 is None else _i1
     return _scalar_like((sa / i1) * np.sqrt(2.0 * i0 - 1.0) / (i0 - 1.0), a)
 
 
-def admissibility(params):
-    """Evaluate both bounds at params and report the two verdicts."""
-    t1 = theorem1_b_max(params.a)
-    lm = lemma_b_max(params.a)
+def admissibility(params, *, _i0=None, _i1=None):
+    """Evaluate both bounds at params and report the two verdicts.
+
+    _i0 and _i1 are private to the solver plan: I0(sqrt(a)) and
+    I1(sqrt(a)) already evaluated.
+    """
+    t1 = theorem1_b_max(params.a, _i0=_i0, _i1=_i1)
+    lm = lemma_b_max(params.a, _i0=_i0, _i1=_i1)
     return AdmissibilityReport(
         params=params,
         theorem1_b_max=t1,

@@ -32,13 +32,22 @@ weights t v0 and t v1, h0 with its slope, c = b / I0(sqrt(a)) and the
 admissibility report. A private solver plan evaluates them once, from
 one I0(sqrt(a) r) and one I1(sqrt(a) r) array shared by all of them; each
 Picard step on the plan is then only the P - 1 integrand, two cumulative
-sums and the recombination. The envelope constant A and the slope
-factor 2 - 1/I0(sqrt(a)) come from the plan's I0(sqrt(a)) and h0'(1),
-with no further Bessel call. solve builds one plan per call, keeps the
-first iterate h1 and hands the plan's h0 and that h1 to the envelope
-check and, through SolveReport, to its callers. picard_step and
-envelope_check are thin wrappers that build a plan per call. No plan is
-kept across calls.
+sums and the recombination. The scalars I0(sqrt(a)) and I1(sqrt(a)) that
+v1, v1', h0, h0' and the admissibility bounds need are the r = 1
+elements of those two arrays: the grid ends exactly at 1, and bessel_i
+gives each element the bits a scalar call would. The K0(sqrt(a) r) and
+K1(sqrt(a) r) arrays reuse the same two arrays in their small-argument
+series. K0(sqrt(a)) is one scalar bessel_k call, not an element of the
+K0(sqrt(a) r) array: for 3 < sqrt(a) < 16 the quadrature branch picks
+its step horizon from the smallest argument of the call, so an element
+of the array can differ from the scalar in its last bits. A solve thus
+makes 2 bessel_i calls and 3 bessel_k calls. The envelope constant A
+and the slope factor 2 - 1/I0(sqrt(a)) come from the plan's I0(sqrt(a))
+and h0'(1), with no further Bessel call. solve builds one plan per
+call, keeps the first iterate h1 and hands the plan's h0 and that h1 to
+the envelope check and, through SolveReport, to its callers.
+picard_step and envelope_check are thin wrappers that build a plan per
+call. No plan is kept across calls.
 
 fd_oracle solves the same problem by damped Newton on the conservative
 finite-difference stencil that residual_sup evaluates; it shares no
@@ -54,7 +63,7 @@ import numpy as np
 
 from .errors import BoundViolation, HypothesisViolation, NoConvergence
 from .kernel import AdmissibilityReport, ModelParams, admissibility, dv0, dv1, v0, v1
-from .special import bessel_i
+from .special import bessel_i, bessel_k
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,34 +140,39 @@ class SolveReport:
     h1: RadialProfile
 
 
-def _h0_values(params, r, i0_r=None):
+def _h0_values(params, r, i0_r=None, i0=None):
     # h0(r) = (b/a)(1 - I0(sqrt(a) r)/I0(sqrt(a))); i0_r is I0(sqrt(a) r)
-    # when the caller has already evaluated it
+    # and i0 is I0(sqrt(a)) when the caller has already evaluated them
     sa = math.sqrt(params.a)
     if i0_r is None:
         i0_r = bessel_i(0, sa * r)
-    return (params.b / params.a) * (1.0 - i0_r / bessel_i(0, sa))
+    if i0 is None:
+        i0 = bessel_i(0, sa)
+    return (params.b / params.a) * (1.0 - i0_r / i0)
 
 
-def _dh0_values(params, r, i1_r=None):
-    # h0'(r) = -(b/sqrt(a)) I1(sqrt(a) r)/I0(sqrt(a)); i1_r likewise
+def _dh0_values(params, r, i1_r=None, i0=None):
+    # h0'(r) = -(b/sqrt(a)) I1(sqrt(a) r)/I0(sqrt(a)); i1_r and i0 likewise
     sa = math.sqrt(params.a)
     if i1_r is None:
         i1_r = bessel_i(1, sa * r)
-    return -(params.b / sa) * i1_r / bessel_i(0, sa)
+    if i0 is None:
+        i0 = bessel_i(0, sa)
+    return -(params.b / sa) * i1_r / i0
 
 
-def h0_profile(params, grid, *, _i0_r=None, _i1_r=None):
+def h0_profile(params, grid, *, _i0_r=None, _i1_r=None, _i0=None):
     """Closed-form linearized solution on the grid (the P == 1 case).
 
     h0(1) = 0 and h0'(0) = 0 hold exactly; the slope is analytic, not
-    differenced. _i0_r and _i1_r are private to the solver plan:
-    I0(sqrt(a) r) and I1(sqrt(a) r) already evaluated on the nodes.
+    differenced. _i0_r, _i1_r and _i0 are private to the solver plan:
+    I0(sqrt(a) r) and I1(sqrt(a) r) already evaluated on the nodes, and
+    I0(sqrt(a)).
     """
     r = grid.nodes
-    h = _h0_values(params, r, _i0_r)
+    h = _h0_values(params, r, _i0_r, _i0)
     h[-1] = 0.0
-    dh = _dh0_values(params, r, _i1_r)
+    dh = _dh0_values(params, r, _i1_r, _i0)
     dh[0] = 0.0
     return RadialProfile(grid=grid, h=h, dh=dh)
 
@@ -187,25 +201,27 @@ class _SolverPlan:
         r = grid.nodes
         a = params.a
         sa = math.sqrt(a)
-        i0 = bessel_i(0, sa)
         # the v0 table is I0(sqrt(a) r); it and I1(sqrt(a) r) are the only
-        # Bessel-I arrays, shared by v1, v0', v1', h0 and h0'
+        # Bessel-I arrays, and the Bessel values at sqrt(a) come from them
+        # and from one scalar K0 (see the module docstring)
         v0_all = v0(r, a)
         i1_r = bessel_i(1, sa * r)
-        v1_pos = v1(r[1:], a, _i0_r=v0_all[1:])
+        i0, i1 = float(v0_all[-1]), float(i1_r[-1])  # r[-1] == 1.0
+        k0 = bessel_k(0, sa, _i_z=i0)
+        v1_pos = v1(r[1:], a, _i0_r=v0_all[1:], _i0=i0, _k0=k0)
         return cls(
             params=params,
             grid=grid,
-            admissibility_report=admissibility(params),
+            admissibility_report=admissibility(params, _i0=i0, _i1=i1),
             i0=i0,
             c=params.b / i0,
             v0=v0_all,
             v1_pos=v1_pos,
             dv0=dv0(r, a, _i1_r=i1_r),
-            dv1_pos=dv1(r[1:], a, _i1_r=i1_r[1:]),
+            dv1_pos=dv1(r[1:], a, _i1_r=i1_r[1:], _i0=i0, _k0=k0),
             weight0=r * v0_all,
             weight1_pos=r[1:] * v1_pos,
-            h0=h0_profile(params, grid, _i0_r=v0_all, _i1_r=i1_r),
+            h0=h0_profile(params, grid, _i0_r=v0_all, _i1_r=i1_r, _i0=i0),
         )
 
     def step(self, prev):

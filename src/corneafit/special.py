@@ -39,13 +39,13 @@ def _prepare(z, name, minimum_exclusive):
     """Flatten to 1-D float64, validating finiteness and the domain edge."""
     arr = np.asarray(z, dtype=float)
     flat = arr.ravel()
-    if flat.size and not np.all(np.isfinite(flat)):
+    if flat.size and not np.isfinite(flat).all():
         raise ValueError(f"{name} requires finite arguments")
     if minimum_exclusive:
-        if flat.size and np.any(flat <= 0.0):
+        if flat.size and (flat <= 0.0).any():
             raise ValueError(f"{name} requires z > 0")
     else:
-        if flat.size and np.any(flat < 0.0):
+        if flat.size and (flat < 0.0).any():
             raise ValueError(f"{name} requires z >= 0")
     return arr, flat
 
@@ -64,7 +64,7 @@ def _i_series(nu, z):
     for k in range(1, 200):
         term = term * q / (k * (k + nu))
         total = total + term
-        if np.all(term <= 1e-17 * total):
+        if (term <= 1e-17 * total).all():
             break
     return total
 
@@ -99,7 +99,8 @@ def _k_asymptotic(nu, z):
     return np.sqrt(np.pi / (2.0 * z)) * np.exp(-z) * tail
 
 
-def _k_series(nu, z):
+def _k_series(nu, z, i_z):
+    # i_z is I_nu(z) on the same elements
     q = 0.25 * z * z
     log_half_z = np.log(0.5 * z)
     if nu == 0:
@@ -113,9 +114,9 @@ def _k_series(nu, z):
             contrib = term * harmonic
             total = total + contrib
             # absolute cutoff: K0 >= K0(3) ~ 0.035 on this branch
-            if np.all(contrib <= 1e-18 + 1e-17 * total):
+            if (contrib <= 1e-18 + 1e-17 * total).all():
                 break
-        return -(log_half_z + EULER_GAMMA) * _i_series(0, z) + total
+        return -(log_half_z + EULER_GAMMA) * i_z + total
     # K1 = 1/z + ln(z/2) I1 - (z/4) sum_{k>=0} (H_k + H_{k+1} - 2 gamma) q^k/(k!(k+1)!)
     term = np.ones_like(z)
     harmonic_k = 0.0
@@ -127,9 +128,9 @@ def _k_series(nu, z):
         harmonic_k1 += 1.0 / (k + 1)
         contrib = term * (harmonic_k + harmonic_k1 - 2.0 * EULER_GAMMA)
         total = total + contrib
-        if np.all(np.abs(contrib) <= 1e-18 + 1e-17 * np.abs(total)):
+        if (np.abs(contrib) <= 1e-18 + 1e-17 * np.abs(total)).all():
             break
-    return 1.0 / z + log_half_z * _i_series(1, z) - 0.25 * z * total
+    return 1.0 / z + log_half_z * i_z - 0.25 * z * total
 
 
 def _k_quadrature(nu, z):
@@ -164,11 +165,13 @@ def bessel_i(nu, z):
     return _restore(out, arr)
 
 
-def bessel_k(nu, z):
+def bessel_k(nu, z, *, _i_z=None):
     """Modified Bessel function of the second kind, order nu in {0, 1}.
 
     Requires z > 0 and finite. Relative error <= 1e-12 on [1e-8, 100].
-    Order 2 is rejected: nothing in the model needs it.
+    Order 2 is rejected: nothing in the model needs it. _i_z is private
+    to the solver plan: bessel_i(nu, z) already evaluated, which the
+    small-argument series reuses instead of summing I_nu again.
     """
     if nu not in (0, 1):
         raise ValueError(f"bessel_k supports orders 0 and 1 only, got {nu!r}")
@@ -178,7 +181,12 @@ def bessel_k(nu, z):
     large = flat >= _K_ASYMPTOTIC_MIN
     middle = ~small & ~large
     if small.any():
-        out[small] = _k_series(nu, flat[small])
+        z_small = flat[small]
+        if _i_z is None:
+            i_small = _i_series(nu, z_small)
+        else:
+            i_small = np.asarray(_i_z, dtype=float).ravel()[small]
+        out[small] = _k_series(nu, z_small, i_small)
     if middle.any():
         out[middle] = _k_quadrature(nu, flat[middle])
     if large.any():

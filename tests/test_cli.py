@@ -341,6 +341,15 @@ class TestSilentFailuresExitLoudly:
         assert stdout == ""
 
     @pytest.mark.parametrize("command", ["fit", "axial"])
+    def test_digit_separator_in_mesh_exits_1(self, capsys, tmp_path, command):
+        mesh_path = tmp_path / "mesh.txt"
+        mesh_path.write_text("2 2 1.0 1.0 0.0 0.0\n1_5 2.0\n3.0 4.0\n")
+        code, stdout, stderr = run(capsys, command, "--mesh", str(mesh_path))
+        assert code == 1
+        assert stderr == "error: bad value '1_5' (line 2, column 1)\n"
+        assert stdout == ""
+
+    @pytest.mark.parametrize("command", ["fit", "axial"])
     @pytest.mark.parametrize("field,value", [(2, "inf"), (4, "nan"), (5, "inf")])
     def test_non_finite_mesh_header_exits_1(self, capsys, tmp_path, command, field, value):
         mesh_path = tmp_path / "mesh.txt"
@@ -630,6 +639,31 @@ class TestFlagTable:
         assert code == 2
         assert stdout == ""
         assert stderr.startswith("usage: corneafit " + argv[0])
+
+
+class TestParserReuse:
+    # main builds its parser once per process; no flag of one call may
+    # reach the next
+    def test_one_parser_serves_every_call(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_solve_flag_does_not_outlive_its_call(self, capsys):
+        code, stdout, _ = run(capsys, "solve", "--a", "2", "--b", "2", "--n-nodes", "201")
+        assert code == 0
+        assert parse_report(stdout)["n_nodes"] == "201"
+        assert run(capsys, "solve", "--a", "2", "--n-nodes", "x")[0] == 2
+        code, stdout, _ = run(capsys, "solve", "--a", "2", "--b", "2")
+        assert code == 0
+        assert parse_report(stdout)["n_nodes"] == "401"
+
+    def test_fit_flag_does_not_outlive_its_call(self, capsys, tmp_path):
+        mesh_path, _ = fit_report(capsys, tmp_path)
+        code, stdout, _ = run(capsys, "fit", "--mesh", str(mesh_path), "--level-fraction", "0.4")
+        assert code == 0
+        assert parse_report(stdout)["level_fraction_nondim"] == cli._format_value(0.4)
+        code, stdout, _ = run(capsys, "fit", "--mesh", str(mesh_path))
+        assert code == 0
+        assert parse_report(stdout)["level_fraction_nondim"] == "0.5"
 
 
 def test_cli_import_loads_no_scipy():

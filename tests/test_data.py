@@ -157,6 +157,20 @@ class TestTextFormat:
         assert excinfo.value.line == 5
         assert excinfo.value.column == 2
 
+    @pytest.mark.parametrize("text,line,column", [
+        ("2 2 1.0 1.0 0.0 0.0\n1_5 2.0\n3.0 4.0\n", 2, 1),
+        ("2 2 1.0 1.0 0.0 0.0\n\n1.0 2.0\n3.0 1e1_0\n", 4, 2),
+        ("2 2 1.0 1_0 0.0 0.0\n1.0 2.0\n3.0 4.0\n", 1, 4),
+    ])
+    def test_digit_separator_is_a_bad_value(self, tmp_path, text, line, column):
+        # Python's float() reads "1_5" as 15; the text format has no "_"
+        path = tmp_path / "mesh.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as excinfo:
+            read_mesh(path)
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+        assert str(excinfo.value).startswith("bad value '")
+
     def test_oversized_header_is_refused_before_any_allocation(self, tmp_path):
         # numpy refuses a (2, 10**12) array outright, so a reader that sizes
         # its array from the header fails here instead of naming the row

@@ -7,6 +7,7 @@ the independent check for converged solutions.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from corneafit import cli, kernel, solver
 from corneafit.errors import BoundViolation, HypothesisViolation, NoConvergence
 from corneafit.kernel import (
     ModelParams,
+    admissibility,
     bound_constants,
     dv0,
     dv1,
@@ -36,11 +38,20 @@ from corneafit.solver import (
     residual_sup,
     solve,
 )
-from corneafit.special import bessel_i
+from corneafit.special import bessel_i, bessel_k
 
 TWO_TWO = ModelParams(a=2.0, b=2.0)
 # (2, 2) and the two published operating points
 REFERENCE_PAIRS = [(2.0, 2.0), (2.07883, 2.76741), (1.94398, 2.27534)]
+# a in each Bessel branch of sqrt(a): the K series (<= 3), quadrature
+# (3 to 16) and asymptotic (>= 16) ranges, the last also past the I
+# series (> 18)
+A_ACROSS_BESSEL_BRANCHES = st.one_of(
+    st.floats(0.01, 9.0),
+    st.floats(9.0, 256.0, exclude_min=True, exclude_max=True),
+    st.floats(256.0, 324.0),
+    st.floats(324.0, 1600.0, exclude_min=True),
+)
 
 
 class TestRadialGrid:
@@ -357,6 +368,57 @@ class TestSharedBesselArrays:
         # a scalar such as I0(sqrt(a))
         assert sorted(size for size in sizes if size > 1) == [n, n]
         assert sum(sizes) == 2 * n + sum(1 for size in sizes if size == 1)
+
+    def test_one_solve_makes_two_bessel_i_and_three_bessel_k_calls(self, monkeypatch):
+        sizes = {"bessel_i": [], "bessel_k": []}
+        for name, function in (("bessel_i", bessel_i), ("bessel_k", bessel_k)):
+            def counted(nu, z, _sizes=sizes[name], _function=function, **kwargs):
+                _sizes.append(np.size(z))
+                return _function(nu, z, **kwargs)
+
+            for module in (kernel, solver):
+                monkeypatch.setattr(module, name, counted)
+        n = 4001
+        solve(TWO_TWO, RadialGrid.uniform(n))
+        # I0(sqrt(a) r) and I1(sqrt(a) r); K0(sqrt(a) r), K1(sqrt(a) r) on
+        # r > 0 and the scalar K0(sqrt(a))
+        assert sorted(sizes["bessel_i"]) == [n, n]
+        assert sorted(sizes["bessel_k"]) == [1, n - 1, n - 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=A_ACROSS_BESSEL_BRANCHES)
+    def test_k_series_reuses_the_i_values_bit_for_bit(self, a):
+        z = math.sqrt(a) * RadialGrid.uniform(4001).nodes[1:]
+        for nu in (0, 1):
+            np.testing.assert_array_equal(bessel_k(nu, z, _i_z=bessel_i(nu, z)), bessel_k(nu, z))
+            assert bessel_k(nu, z[-1], _i_z=bessel_i(nu, z[-1])) == bessel_k(nu, z[-1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=A_ACROSS_BESSEL_BRANCHES)
+    def test_plan_values_at_sqrt_a_equal_the_scalar_calls(self, a):
+        params = ModelParams(a=a, b=1.0)
+        grid = RadialGrid.uniform(4001)
+        r = grid.nodes
+        sa = math.sqrt(a)
+        k_results = []
+
+        def recorded(nu, z, **kwargs):
+            k_results.append(bessel_k(nu, z, **kwargs))
+            return k_results[-1]
+
+        with mock.patch.object(solver, "bessel_k", recorded):
+            plan = solver._SolverPlan.build(params, grid)
+        # I0(sqrt(a)) and I1(sqrt(a)) are read off the r = 1 nodes, and
+        # K0(sqrt(a)) is the plan's one scalar K call
+        assert bessel_i(0, sa * r)[-1] == plan.i0 == bessel_i(0, sa)
+        assert bessel_i(1, sa * r)[-1] == bessel_i(1, sa)
+        assert k_results == [bessel_k(0, sa)]
+        assert plan.admissibility_report == admissibility(params)
+        np.testing.assert_array_equal(plan.v1_pos, v1(r[1:], a))
+        np.testing.assert_array_equal(plan.dv1_pos, dv1(r[1:], a))
+        base = h0_profile(params, grid)
+        np.testing.assert_array_equal(plan.h0.h, base.h)
+        np.testing.assert_array_equal(plan.h0.dh, base.dh)
 
 
 def inline_residual_sup(params, profile):
