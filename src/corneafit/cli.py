@@ -13,6 +13,7 @@ calibration root); 3 degenerate data (no apex, no level curve).
 """
 
 import argparse
+import errno
 import functools
 import sys
 import time
@@ -180,6 +181,12 @@ def cmd_fit(mesh_path, out_path=None, **fields):
     """Fit a mesh file; fields are FitOptions fields."""
     start = time.perf_counter()
     options = FitOptions(**fields)
+    if out_path is not None:
+        # the report is ASCII and names both paths; refuse before writing
+        # anything, so no partial report or error grid is left behind
+        for path in (mesh_path, out_path):
+            if not str(path).isascii():
+                raise OSError(errno.EILSEQ, "the fit report cannot name a non-ASCII path", path)
     mesh = read_mesh(mesh_path)
     result = fit_mesh(mesh, options)
 

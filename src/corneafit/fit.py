@@ -270,7 +270,9 @@ def _measure_apex(mesh, options):
 
     x_coords, y_coords = mesh.x_coords, mesh.y_coords
     node_x, node_y = x_coords[j0], y_coords[i0]
-    offset_x, offset_y = np.meshgrid(x_coords - node_x, y_coords - node_y)
+    # read-only broadcast views: no full grid of either offset is built
+    offset_x = np.broadcast_to(x_coords - node_x, z.shape)
+    offset_y = np.broadcast_to((y_coords - node_y)[:, None], z.shape)
     dist = np.hypot(offset_x, offset_y)
     footprint = float(dist[valid].max())
     if footprint <= 0.0:
@@ -426,8 +428,9 @@ def fit_mesh(mesh, options=None):
         level=options.level_fraction * height_mm,
     )
 
-    grid_x, grid_y = np.meshgrid(mesh.x_coords, mesh.y_coords)
-    radial_mm = elliptical_radius(grid_x - apex_x, grid_y - apex_y, ellipse)
+    radial_mm = elliptical_radius(
+        mesh.x_coords - apex_x, mesh.y_coords[:, None] - apex_y, ellipse
+    )
     scale = float(radial_mm[mesh.valid].max())
     apex = ApexMeasurements(
         max_deflection=height_mm, central_radius=rho0_mm, scale_radius=scale
@@ -515,9 +518,9 @@ def axial_distance_map(mesh_or_model, ellipse, gradient_floor=1e-8):
     if isinstance(mesh_or_model, ModelSurface):
         model = mesh_or_model
         template = model.template
-        grid_x, grid_y = np.meshgrid(template.x_coords, template.y_coords)
+        x, y = template.x_coords, template.y_coords[:, None]
         scale = model.scale_radius
-        rel = elliptical_radius(grid_x / scale, grid_y / scale, ellipse)
+        rel = elliptical_radius(x / scale, y / scale, ellipse)
         inside = rel <= 1.0
         # z_x = q x / (S R1^2), z_y = q y / (S R2^2) with q = h0'(rel)/rel,
         # whose apex limit is h0''(0) = -b / (2 I0(sqrt(a))).
@@ -526,12 +529,12 @@ def axial_distance_map(mesh_or_model, ellipse, gradient_floor=1e-8):
         positive = inside & (rel > 0.0)
         q[positive] = _dh0_values(model.params, rel[positive]) / rel[positive]
         q[inside & (rel == 0.0)] = apex_limit
-        grad_x = q * grid_x / (scale * ellipse.semi_axis_x**2)
-        grad_y = q * grid_y / (scale * ellipse.semi_axis_y**2)
+        grad_x = q * x / (scale * ellipse.semi_axis_x**2)
+        grad_y = q * y / (scale * ellipse.semi_axis_y**2)
         defined = inside
     else:
         mesh = mesh_or_model
-        grid_x, grid_y = np.meshgrid(mesh.x_coords, mesh.y_coords)
+        x, y = mesh.x_coords, mesh.y_coords[:, None]
         z, valid = mesh.z, mesh.valid
         grad_x = np.full(z.shape, np.nan)
         grad_y = np.full(z.shape, np.nan)
@@ -550,6 +553,6 @@ def axial_distance_map(mesh_or_model, ellipse, gradient_floor=1e-8):
     with np.errstate(invalid="ignore"):
         usable = defined & (norm_sq >= gradient_floor**2)
     out = np.full(norm_sq.shape, np.nan)
-    radius = np.hypot(grid_x, grid_y)
+    radius = np.hypot(x, y)
     out[usable] = radius[usable] * np.sqrt(1.0 + 1.0 / norm_sq[usable])
     return out

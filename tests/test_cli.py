@@ -282,6 +282,25 @@ class TestBadInputFiles:
         assert code == 1
         assert stderr.startswith("error:")
 
+    @pytest.mark.parametrize("mesh_name,out_name", [
+        ("edge/h\u00f6he.txt", "fit.txt"), ("mesh.txt", "bericht-\u00fc.txt"),
+    ])
+    def test_non_ascii_fit_path_exits_1_and_writes_nothing(self, capsys, tmp_path,
+                                                           mesh_name, out_name):
+        # the ASCII report names both paths: a path it cannot hold is an
+        # I/O failure, named in the message, before any file is written
+        mesh_path, out_path = tmp_path / mesh_name, tmp_path / out_name
+        mesh_path.parent.mkdir(exist_ok=True)
+        run(capsys, "synth", "--a", "2", "--b", "2", "--n-x", "61", "--n-y", "61",
+            "--out", str(mesh_path))
+        code, _, stderr = run(capsys, "fit", "--mesh", str(mesh_path), "--out", str(out_path))
+        assert code == 1
+        assert stderr.startswith("error:")
+        non_ascii = mesh_name if not mesh_name.isascii() else out_name
+        assert os.path.basename(non_ascii) in stderr
+        assert not out_path.exists()
+        assert not (tmp_path / (out_name + ".errors")).exists()
+
     def test_unparsable_report_value_exits_1_naming_the_key(self, capsys, tmp_path):
         mesh_path, fit_path = fit_report(capsys, tmp_path)
         replace_report_value(fit_path, "a_nondim", "x")

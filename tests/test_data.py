@@ -6,9 +6,12 @@ intentional modular overflow) is verified against an independent route.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corneafit import data
 from corneafit.data import (
@@ -243,6 +246,146 @@ class TestMeshWriter:
         with pytest.raises(ParseError) as excinfo:
             read_mesh(path)
         assert excinfo.value.line == 3
+
+
+def format_mismatches(directory, values, n_cols=3):
+    """(value, written, expected) for every value whose text from
+    _write_table differs from format(v, ".17g"); the values fill a table
+    of n_cols columns, the last row padded by repeating them."""
+    values = np.asarray(values, dtype=float).ravel()
+    table = np.resize(values, (-(-values.size // n_cols), n_cols))
+    path = directory / "table.csv"
+    data._write_table(path, "h", table, ",")
+    lines = path.read_bytes().decode("ascii").split("\n")
+    assert lines[0] == "h" and lines[-1] == ""
+    written = [text for line in lines[1:-1] for text in line.split(",")]
+    assert len(written) == table.size
+    return [(v, text, format(v, ".17g"))
+            for v, text in zip(table.ravel().tolist(), written)
+            if text != format(v, ".17g")]
+
+
+def neighbours(center, ulps):
+    """The doubles within `ulps` steps of center, center included."""
+    below, above, out = center, center, [center]
+    for _ in range(ulps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return out
+
+
+@pytest.fixture
+def format_calls(monkeypatch):
+    """The values the table writer sends through format(), in order."""
+    sent = []
+
+    def recording_format(value, spec):
+        sent.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(data, "format", recording_format, raising=False)
+    return sent
+
+
+class TestTableWriterText:
+    """_write_table against format(v, ".17g"), value by value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=300))
+    def test_any_bit_pattern(self, tmp_path_factory, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert format_mismatches(tmp_path_factory.mktemp("bits"), values) == []
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        values = [v for j in range(-300, 301) for v in neighbours(float(f"1e{j}"), 1)]
+        assert format_mismatches(tmp_path, values + [-v for v in values]) == []
+
+    @pytest.mark.parametrize("edge", [1e-5, 1e-4, 1e16, 1e17])
+    def test_fixed_to_exponent_switch(self, tmp_path, edge):
+        values = neighbours(edge, 40)
+        assert format_mismatches(tmp_path, values + [-v for v in values]) == []
+
+    def test_values_rounding_up_to_the_next_decade(self, tmp_path):
+        # doubles just below 10^j whose 17 digits round up to 10^j
+        values = []
+        for j in range(-300, 301):
+            for v in neighbours(float(f"1e{j}"), 3):
+                num, den = v.as_integer_ratio()
+                below = num * 10 ** max(-j, 0) < den * 10 ** max(j, 0)
+                mantissa = format(v, ".17g").split("e")[0]
+                if below and mantissa.replace(".", "").strip("0") == "1":
+                    values.append(v)
+        assert len(values) >= 10
+        assert format_mismatches(tmp_path, values + [-v for v in values]) == []
+
+    def test_eighteen_digit_decimals_ending_in_5(self, tmp_path):
+        rng = np.random.default_rng(9)
+        mantissas = rng.integers(10**16, 10**17, 20000).tolist()
+        exponents = rng.integers(-290, 291, 20000).tolist()
+        values = [float(f"{m}5e{e}") for m, e in zip(mantissas, exponents)]
+        # exact ties: 18 significant digits ending in 5, rounded half-even
+        values += [2.0**50 + k + 0.25 for k in range(50)] + [2.0**50 + k + 0.75 for k in range(50)]
+        assert format_mismatches(tmp_path, values) == []
+
+    def test_near_ties_go_through_format(self, tmp_path, format_calls):
+        # x = m 2^-s with x 10^k within 32 2^(k-s) <= 2^-39 of a half-integer
+        # in [1e16, 1e17): finer than the double-double resolves, so every
+        # one must be decided by format()
+        values = []
+        for k in range(20, 120):
+            for s in range(k + 44, k + 120):
+                mod = 2 ** (s - k)
+                if not 5e15 < 2**52 * 5**k / mod < 1e17:  # no 53-bit m lands in range
+                    continue
+                inverse = pow(5**k, -1, mod)
+                for r in range(-32, 33):
+                    m = (mod // 2 + r) * inverse % mod
+                    if r and 2**52 <= m < 2**53 and 1e16 <= m * 5**k / mod < 1e17:
+                        values.append(m / 2**s)
+        assert len(values) >= 50
+        assert format_mismatches(tmp_path, values, n_cols=1) == []
+        assert format_calls == values
+
+    def test_special_values(self, tmp_path):
+        subnormals = np.random.default_rng(10).integers(1, 2**52, 500, dtype=np.uint64)
+        values = [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                  1.7976931348623157e308, 0.0, math.inf, 1e-280, 1e280, 9.99e279, 1.01e-280]
+        values = values + [-v for v in values] + [math.nan] + subnormals.view(np.float64).tolist()
+        assert format_mismatches(tmp_path, values) == []
+
+    def test_fallback_runs_for_what_the_array_path_cannot_decide(self, tmp_path, format_calls):
+        # zeros, subnormals, infinities, magnitudes past 1e280 and exact
+        # ties go through format() one by one; ordinary values do not
+        tie = 2.0**50 + 0.25
+        slow = [0.0, -0.0, 5e-324, math.inf, -math.inf, 1e300, tie]
+        fast = [0.1, -1.5, 123456.789, 2.5e-7, 1e16, 6.02214076e23]
+        values = slow + fast + [math.nan]
+        assert format_mismatches(tmp_path, values, n_cols=len(values)) == []
+        assert format_calls == slow
+        assert format(tie, ".17g") == "1125899906842624.2"
+
+    def test_memory_peak_is_per_block(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        mesh = rng.standard_normal((161, 161)) * 1e3
+        mesh[rng.random(mesh.shape) < 0.4] = np.nan
+        csv = rng.standard_normal((4001, 5))
+        data._write_table(tmp_path / "warm.csv", "h", csv[:2], ",")  # builds the lookup tables
+
+        def peak(table, sep):
+            tracemalloc.start()
+            try:
+                data._write_table(tmp_path / "table.txt", "h", table, sep)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bound = 2_000_000
+        assert peak(mesh, " ") < bound
+        assert peak(csv, ",") < bound
+        # formatting the whole table at once breaks the bound
+        monkeypatch.setattr(data, "_TABLE_BLOCK_VALUES", mesh.size)
+        assert peak(mesh, " ") > bound
+        assert peak(csv, ",") > bound
 
 
 class TestSynthetic:
