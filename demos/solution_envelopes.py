@@ -7,6 +7,7 @@ between its analytic lower and upper envelopes.
 import numpy as np
 
 from corneafit import ModelParams, RadialGrid, solve
+from corneafit.data import _write_csv
 
 params = ModelParams(a=2.0, b=2.0)
 grid = RadialGrid.uniform(401)
@@ -31,12 +32,9 @@ margin_high = np.min(upper - report.profile.h)
 print(f"sandwich margins:  min(h - A h1) = {margin_low:.3e}, "
       f"min(h0 - h) = {margin_high:.3e}")
 
-np.savetxt(
+_write_csv(
     "solution_envelopes.csv",
-    np.column_stack([grid.nodes, lower, report.profile.h, upper]),
-    fmt="%.17g",
-    delimiter=",",
-    header="r,lower_A_h1,h,upper_h0",
-    comments="",
+    ["r", "lower_A_h1", "h", "upper_h0"],
+    [grid.nodes, lower, report.profile.h, upper],
 )
 print("wrote solution_envelopes.csv")

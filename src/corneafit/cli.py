@@ -15,6 +15,7 @@ calibration root); 3 degenerate data (no apex, no level curve).
 import argparse
 import errno
 import functools
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -204,20 +205,24 @@ def cmd_fit(mesh_path, out_path=None, **fields):
         "n_points_used": result.n_points_used,
         "error_summary": result.error_summary(),
     }
-    if out_path is not None:
-        write_mesh(replace(mesh, z=result.error_grid_mm, valid=None), out_path + ".errors")
-        outputs["report_path"] = out_path
-        outputs["errors_mesh_path"] = out_path + ".errors"
+    inputs = {"mesh_path": mesh_path, "level_fraction_nondim": options.level_fraction}
+    if out_path is None:
+        return RunReport("fit", inputs, outputs, 1e3 * (time.perf_counter() - start))
 
-    report = RunReport(
-        command="fit",
-        inputs={"mesh_path": mesh_path, "level_fraction_nondim": options.level_fraction},
-        outputs=outputs,
-        timing_ms=1e3 * (time.perf_counter() - start),
-    )
-    if out_path is not None:
-        with open(out_path, "w", encoding="ascii") as handle:
-            handle.write(report.render())
+    outputs["report_path"] = out_path
+    outputs["errors_mesh_path"] = out_path + ".errors"
+    # the report is opened before the grid is written, so a report path that
+    # cannot be opened leaves no grid behind; a grid that cannot be written
+    # takes the empty report with it
+    with open(out_path, "w", encoding="ascii") as handle:
+        try:
+            write_mesh(replace(mesh, z=result.error_grid_mm, valid=None), out_path + ".errors")
+        except OSError:
+            handle.close()
+            os.remove(out_path)
+            raise
+        report = RunReport("fit", inputs, outputs, 1e3 * (time.perf_counter() - start))
+        handle.write(report.render())
     return report
 
 

@@ -19,16 +19,17 @@ comma-separated rows) share the mesh writer.
 
 The writer produces exactly the bytes of format(v, ".17g") per value,
 computed in numpy for a block of values at once. A finite x with
-1e-280 <= |x| <= 1e280 is scaled to y = |x| * 10^(16-E), E its decimal
-exponent (from log10, corrected by one where y leaves [1e16, 1e17)), as
-a double-double: Dekker's exact product of x with the nearest double of
-10^k, plus x times the nearest double of the remainder 10^k minus that
-double. y is then within about 2^-46 of a unit of its exact value, so
-rounding it to a 17-digit integer is exact wherever its fractional part
-lies more than a margin of 1e-6 from one half. Those digits are laid
-out by the %g rules. NaN is the constant ``nan``; zeros, subnormals,
-infinities, magnitudes outside that range and values within the margin
-of a tie are written by format() one at a time.
+1e-280 <= |x| <= 1e280 gets E = floor(log10 |x|) and, in one scaling
+pass, y = |x| * 10^(16-E) as a double-double: Dekker's exact product of
+x with the nearest double of 10^k, plus x times the nearest double of
+the remainder 10^k minus that double. y is then within about 2^-46 of a
+unit of its exact value, so it rounds to the 17 digits of x, laid out
+by the %g rules. NaN is the constant ``nan``. Zeros, subnormals,
+infinities and magnitudes outside that range are written by format()
+one at a time, and so is every value the scaling pass cannot decide:
+y outside [1e16, 1e17) (log10 one decade off next to a power of ten),
+17 digits that round up to 10^17, or a fractional part of y within a
+margin of 1e-6 of one half.
 
 Synthetic meshes sample the closed-form linearized surface over an
 elliptical footprint. Noise is generated by a counter-based scheme so a
@@ -299,9 +300,9 @@ _NAN_CELL = np.frombuffer(b"nan".ljust(_CELL_TEXT, b"\0"), np.uint8)
 # inside these magnitudes every partial product of the double-double
 # stays a normal double; outside them format() writes the value
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
-# the powers 10^k, k = 16 - E, and exponents E that such values need
-_POWER_MIN, _POWER_MAX = -270, 300
-_EXPONENT_MIN, _EXPONENT_MAX = -300, 300
+# the exponents E of such values and the powers 10^k, k = 16 - E, they need
+_EXPONENT_MIN, _EXPONENT_MAX = round(math.log10(_FAST_MIN)), round(math.log10(_FAST_MAX))
+_POWER_MIN, _POWER_MAX = 16 - _EXPONENT_MAX, 16 - _EXPONENT_MIN
 # far above the double-double's error of about 2^-46 of a unit
 _TIE_MARGIN = 1e-6
 
@@ -310,8 +311,6 @@ class _FormatTables(NamedTuple):
     """Lookup tables of the table writer, built on first use."""
 
     power_hi: np.ndarray  # nearest double of 10^k, k = _POWER_MIN.._POWER_MAX
-    power_hi_hi: np.ndarray  # power_hi split into two 26-bit halves
-    power_hi_lo: np.ndarray
     power_lo: np.ndarray  # nearest double of 10^k - power_hi
     quad_text: np.ndarray  # the 4 digit bytes of 0..9999, one uint32 each
     quad_zeros: np.ndarray  # trailing zero digits of 0..9999, as 4 digits
@@ -353,7 +352,6 @@ def _format_tables():
     rows = np.arange(17)[:, None]
     return _FormatTables(
         power_hi,
-        *_split(power_hi),
         power_lo,
         quad_text=quads.view(np.uint32).ravel(),
         quad_zeros=np.cumprod(quads[:, ::-1] == 48, axis=1, dtype=np.uint8).sum(1, np.uint8),
@@ -371,22 +369,14 @@ def _scaled(x, exponent, tables):
     product with the nearest double of the power, plus x times the
     power's remainder, renormalized so |lo| <= ulp(hi) / 2."""
     k = 16 - _POWER_MIN - exponent
-    p_hi, p_hi_hi, p_hi_lo, p_lo = (
-        tables.power_hi[k], tables.power_hi_hi[k], tables.power_hi_lo[k], tables.power_lo[k]
-    )
+    p_hi, p_lo = tables.power_hi[k], tables.power_lo[k]
+    p_hi_hi, p_hi_lo = _split(p_hi)
     x_hi, x_lo = _split(x)
     product = x * p_hi
     error = ((x_hi * p_hi_hi - product) + x_hi * p_hi_lo + x_lo * p_hi_hi) + x_lo * p_hi_lo
     low = error + x * p_lo
     hi = product + low
     return hi, low - (hi - product)
-
-
-def _decade_shift(hi, lo):
-    """+1 where hi + lo >= 1e17, -1 where hi + lo < 1e16, else 0."""
-    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
-    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
-    return above.astype(np.int64) - below
 
 
 def _format_block(values, ends, cells):
@@ -401,23 +391,20 @@ def _format_block(values, ends, cells):
         fast = (magnitude >= _FAST_MIN) & (magnitude <= _FAST_MAX)
     x = np.where(fast, magnitude, 1.0)
 
-    # the exponent E of the leading digit, so that x * 10^(16-E) lies in
-    # [1e16, 1e17); log10 may be one off next to a power of ten
+    # the exponent E of the leading digit; log10 may land a unit off
+    # next to a power of ten, and then y leaves [1e16, 1e17) (the clip
+    # keeps such an E at the ends of the range inside the tables)
     exponent = np.floor(np.log10(x)).astype(np.int64)
+    np.clip(exponent, _EXPONENT_MIN, _EXPONENT_MAX, out=exponent)
     hi, lo = _scaled(x, exponent, tables)
-    shift = _decade_shift(hi, lo)
-    if shift.any():
-        exponent += shift
-        hi, lo = _scaled(x, exponent, tables)
-        fast &= _decade_shift(hi, lo) == 0
-    # hi is an integer here; round hi + lo to the 17-digit integer
+    # where y >= 2^53, hi is an integer and `whole` is floor(y); below
+    # that it is less than y, so the value falls back
     floor_lo = np.floor(lo)
     remainder = lo - floor_lo
-    fast &= np.abs(remainder - 0.5) > _TIE_MARGIN
-    digits = hi.astype(np.int64) + floor_lo.astype(np.int64) + (remainder > 0.5)
-    next_decade = digits == 10**17
-    digits[next_decade] = 10**16
-    exponent += next_decade
+    whole = hi.astype(np.int64) + floor_lo.astype(np.int64)
+    digits = whole + (remainder > 0.5)
+    fast &= (whole >= 10**16) & (digits < 10**17) & (np.abs(remainder - 0.5) > _TIE_MARGIN)
+    digits[~fast] = 10**16  # format() rewrites these; keep the lookups in range
 
     # the lead digit, then the other 16 as four 4-digit quads
     lead = digits // 10**16
@@ -464,18 +451,9 @@ def _write_table(path, header, table, sep):
     %.17g values joined by the one-character `sep`: byte for byte the
     text of format(v, ".17g") per value, nan, inf and -0 included.
 
-    Values are formatted in numpy, a block of about _TABLE_BLOCK_VALUES
-    at a time, never the whole table at once. Per value: E from log10,
-    corrected by one where x * 10^(16-E) leaves [1e16, 1e17); that
-    product as a double-double, within about 2^-46 of a unit in the 17th
-    digit, rounded to a 17-digit integer (10^17 moves to the next decade)
-    unless its remainder lies within 1e-6 of one half; its digits off a
-    4-digit lookup table, laid out by the %g rules (fixed notation for
-    -4 <= E < 17, trailing zeros stripped, an exponent of at least two
-    digits) in a NUL-padded byte matrix that bytes.translate compacts.
-    NaN is the constant "nan"; what the double-double cannot decide
-    (see the module docstring) goes through format(v, ".17g") one value
-    at a time."""
+    Values are formatted in numpy a block of about _TABLE_BLOCK_VALUES
+    at a time, never the whole table at once; the module docstring
+    describes how, and which values go through format() one by one."""
     n_rows, n_cols = table.shape
     step = max(1, _TABLE_BLOCK_VALUES // n_cols)
     ends = np.zeros((n_cols, 8), np.uint8)

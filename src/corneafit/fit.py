@@ -441,7 +441,7 @@ def fit_mesh(mesh, options=None):
 
     rel = radial_mm / scale
     use = mesh.valid & (rel <= 1.0)
-    model_z = scale * _h0_values(params, np.clip(rel[use], 0.0, 1.0))
+    model_z = scale * _h0_values(params, rel[use])
     abs_errors = np.abs(mesh.z[use] - model_z)
     mean_abs = float(abs_errors.mean())
     mean_rel = mean_abs / height_mm
@@ -473,7 +473,8 @@ def fit_mesh(mesh, options=None):
     )
 
 
-def axial_error_grid(mesh, params, ellipse, scale_radius, apex, gradient_floor=1e-8):
+def axial_error_grid(mesh, params, ellipse, scale_radius, apex,
+                     gradient_floor=FitOptions.gradient_floor):
     """The mesh's axial-distance field and its error against the model.
 
     Both fields are taken about apex = (x, y), the fitted apex in the
@@ -501,7 +502,7 @@ def axial_error_grid(mesh, params, ellipse, scale_radius, apex, gradient_floor=1
     return d_mesh, errors
 
 
-def axial_distance_map(mesh_or_model, ellipse, gradient_floor=1e-8):
+def axial_distance_map(mesh_or_model, ellipse, gradient_floor=FitOptions.gradient_floor):
     """Axial distance d = sqrt(x^2+y^2) sqrt(1 + 1/||grad h||^2), in mm.
 
     The surface axis is the coordinate origin of the source grid. For a
@@ -538,15 +539,10 @@ def axial_distance_map(mesh_or_model, ellipse, gradient_floor=1e-8):
         z, valid = mesh.z, mesh.valid
         grad_x = np.full(z.shape, np.nan)
         grad_y = np.full(z.shape, np.nan)
-        both_x = valid[:, 2:] & valid[:, :-2]
-        both_y = valid[2:, :] & valid[:-2, :]
+        # a missing (non-finite) neighbor makes the difference non-finite
         with np.errstate(invalid="ignore"):
-            grad_x[:, 1:-1] = np.where(
-                both_x, (z[:, 2:] - z[:, :-2]) / (2.0 * mesh.spacing_x), np.nan
-            )
-            grad_y[1:-1, :] = np.where(
-                both_y, (z[2:, :] - z[:-2, :]) / (2.0 * mesh.spacing_y), np.nan
-            )
+            grad_x[:, 1:-1] = (z[:, 2:] - z[:, :-2]) / (2.0 * mesh.spacing_x)
+            grad_y[1:-1, :] = (z[2:, :] - z[:-2, :]) / (2.0 * mesh.spacing_y)
         defined = valid & np.isfinite(grad_x) & np.isfinite(grad_y)
 
     norm_sq = grad_x * grad_x + grad_y * grad_y

@@ -301,6 +301,26 @@ class TestBadInputFiles:
         assert not out_path.exists()
         assert not (tmp_path / (out_name + ".errors")).exists()
 
+    @pytest.mark.parametrize("blocked", ["report", "grid"])
+    def test_unwritable_fit_output_exits_1_and_writes_nothing(self, capsys, tmp_path, blocked):
+        # a directory where the report or its .errors grid should go
+        mesh_path = tmp_path / "mesh.txt"
+        run(capsys, "synth", "--a", "2", "--b", "2", "--n-x", "41", "--n-y", "41",
+            "--out", str(mesh_path))
+        if blocked == "report":
+            out_path = str(tmp_path / "reports") + os.sep
+            (tmp_path / "reports").mkdir()
+        else:
+            out_path = str(tmp_path / "fit.txt")
+            (tmp_path / "fit.txt.errors").mkdir()
+        code, _, stderr = run(capsys, "fit", "--mesh", str(mesh_path), "--out", out_path)
+        assert code == 1
+        assert stderr.startswith("error:")
+        assert (out_path if blocked == "report" else out_path + ".errors") in stderr
+        assert sorted(path.name for path in tmp_path.rglob("*")) == sorted(
+            ["mesh.txt", "reports" if blocked == "report" else "fit.txt.errors"]
+        )
+
     def test_unparsable_report_value_exits_1_naming_the_key(self, capsys, tmp_path):
         mesh_path, fit_path = fit_report(capsys, tmp_path)
         replace_report_value(fit_path, "a_nondim", "x")

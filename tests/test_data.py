@@ -346,6 +346,21 @@ class TestTableWriterText:
         assert format_mismatches(tmp_path, values, n_cols=1) == []
         assert format_calls == values
 
+    def test_decade_edges_go_through_format(self, tmp_path, format_calls):
+        # log10 floors these a decade off, or their 17 digits round up
+        # to 10^17: the scaling pass leaves them to format()
+        values = [1e23, 1e-7, float(np.nextafter(1e16, 0))]
+        for j in range(-300, 301):
+            for v in neighbours(float(f"1e{j}"), 3):
+                num, den = v.as_integer_ratio()
+                below = num * 10 ** max(-j, 0) < den * 10 ** max(j, 0)
+                if below and format(v, ".17g").split("e")[0].replace(".", "").strip("0") == "1":
+                    values.append(v)
+        values += [-v for v in values]
+        assert len(values) >= 26
+        assert format_mismatches(tmp_path, values, n_cols=1) == []
+        assert format_calls == values
+
     def test_special_values(self, tmp_path):
         subnormals = np.random.default_rng(10).integers(1, 2**52, 500, dtype=np.uint64)
         values = [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,

@@ -388,6 +388,49 @@ class TestAxialDistanceMap:
         assert np.isfinite(d_model[20, 21])
 
 
+def reference_mesh_axial_map(mesh, floor):
+    """The mesh route of axial_distance_map with explicit masks: a
+    centered difference only where both neighbors are valid."""
+    z, valid = mesh.z, mesh.valid
+    grad_x = np.full(z.shape, np.nan)
+    grad_y = np.full(z.shape, np.nan)
+    both_x = valid[:, 2:] & valid[:, :-2]
+    both_y = valid[2:, :] & valid[:-2, :]
+    with np.errstate(invalid="ignore"):
+        grad_x[:, 1:-1] = np.where(
+            both_x, (z[:, 2:] - z[:, :-2]) / (2.0 * mesh.spacing_x), np.nan)
+        grad_y[1:-1, :] = np.where(
+            both_y, (z[2:, :] - z[:-2, :]) / (2.0 * mesh.spacing_y), np.nan)
+    defined = valid & np.isfinite(grad_x) & np.isfinite(grad_y)
+    norm_sq = grad_x * grad_x + grad_y * grad_y
+    with np.errstate(invalid="ignore"):
+        usable = defined & (norm_sq >= floor**2)
+    out = np.full(z.shape, np.nan)
+    radius = np.hypot(mesh.x_coords, mesh.y_coords[:, None])
+    out[usable] = radius[usable] * np.sqrt(1.0 + 1.0 / norm_sq[usable])
+    return out
+
+
+class TestAxialMapNonFiniteSamples:
+    @pytest.mark.parametrize("floor", [1e-8, 0.05])
+    def test_nan_and_infinite_neighbours_match_the_masked_map(self, floor):
+        mesh = sphere_cap(n=61)
+        z = mesh.z.copy()
+        z[30, 10] = np.nan
+        z[12, 20], z[40, 44] = np.inf, -np.inf
+        z[20, 40:42] = np.inf, -np.inf  # inf - (-inf) is inf
+        z[25:28:2, 15] = np.inf  # inf - inf is nan
+        z[35, 35:38:2] = -np.inf
+        mesh = SurfaceMesh(n_x=61, n_y=61, spacing_x=mesh.spacing_x,
+                           spacing_y=mesh.spacing_y, origin_x=mesh.origin_x,
+                           origin_y=mesh.origin_y, z=z)
+        got = axial_distance_map(mesh, CIRCLE, gradient_floor=floor)
+        want = reference_mesh_axial_map(mesh, floor)
+        assert np.isfinite(want).sum() > 1000
+        assert np.all(np.isnan(got[11:14, 20])) and np.all(np.isnan(got[12, 19:22]))
+        np.testing.assert_array_equal(got, want)
+
+
 # References for the one-pass fit: the per-row and per-column loop the
 # level-curve search replaced, and a plain scalar scan plus bisection for
 # the calibration root.
