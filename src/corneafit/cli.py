@@ -7,12 +7,21 @@ _nondim); counts, flags, paths and timing_ms are exempt. Floats are
 written with 17 significant digits so reports can be parsed back
 losslessly (the axial command reads the fit command's report).
 
+Every command returns through _finish, so a command that exits non-zero
+leaves none of the files it opened or finished: the fit report is opened
+before any other file, and a write that raises takes every file already
+opened or written with it. A path that could not be opened is never
+removed, since it may be the user's file; a write that fails part-way
+through its own file (a full disk) is out of scope and leaves that file.
+timing_ms covers every file written before the report.
+
 Exit codes: 0 success; 1 I/O and parse failures; 2 numeric and domain
 failures (bad parameter values, bound violations, no convergence, no
 calibration root); 3 degenerate data (no apex, no level curve).
 """
 
 import argparse
+import contextlib
 import errno
 import functools
 import os
@@ -72,23 +81,45 @@ def _format_value(value):
     return str(value)
 
 
+def _finish(command, start, inputs, outputs, writes, report_path=None):
+    """The command's RunReport, its files written all-or-nothing (see the
+    module docstring): report_path, when given, is opened first; each
+    (path, write) pair in writes is then called as write(path), in order;
+    the report, timed up to here, is rendered into report_path last."""
+    handle = None if report_path is None else open(report_path, "w", encoding="ascii")
+    done = [] if handle is None else [report_path]
+    try:
+        with handle or contextlib.nullcontext():
+            for path, write in writes:
+                write(path)
+                done.append(path)
+            report = RunReport(command, inputs, outputs, 1e3 * (time.perf_counter() - start))
+            if handle is not None:
+                handle.write(report.render())
+    except BaseException:
+        for path in done:
+            os.remove(path)
+        raise
+    return report
+
+
+def _grid_writer(mesh, z):
+    """A writer of the values z on mesh's grid."""
+    return functools.partial(write_mesh, replace(mesh, z=z, valid=None))
+
+
 def cmd_solve(a, b, n_nodes=401, tol=1e-10, out_path=None, enforce_bound=False):
     start = time.perf_counter()
     params = ModelParams(a=a, b=b)
     grid = RadialGrid.uniform(n_nodes)
     report = solve(params, grid, tol=tol, enforce_bound=enforce_bound)
-    if out_path is not None:
-        _write_csv(
-            out_path,
-            ["r", "h", "dh", "h0", "A_h1"],
-            [
-                grid.nodes,
-                report.profile.h,
-                report.profile.dh,
-                report.h0.h,
-                report.envelope_constant_A * report.h1.h,
-            ],
-        )
+    inputs = {
+        "a_nondim": float(a),
+        "b_nondim": float(b),
+        "n_nodes": int(n_nodes),
+        "tol_nondim": float(tol),
+        "enforce_bound": bool(enforce_bound),
+    }
     outputs = {
         "iterations": report.iterations,
         "final_sup_diff_nondim": report.final_sup_diff,
@@ -97,20 +128,14 @@ def cmd_solve(a, b, n_nodes=401, tol=1e-10, out_path=None, enforce_bound=False):
         "envelope_A_nondim": report.envelope_constant_A,
         "max_elevation_nondim": float(report.profile.h.max()),
     }
+    writes = []
     if out_path is not None:
         outputs["profile_csv"] = out_path
-    return RunReport(
-        command="solve",
-        inputs={
-            "a_nondim": float(a),
-            "b_nondim": float(b),
-            "n_nodes": int(n_nodes),
-            "tol_nondim": float(tol),
-            "enforce_bound": bool(enforce_bound),
-        },
-        outputs=outputs,
-        timing_ms=1e3 * (time.perf_counter() - start),
-    )
+        columns = [grid.nodes, report.profile.h, report.profile.dh, report.h0.h,
+                   report.envelope_constant_A * report.h1.h]
+        writes.append((out_path, functools.partial(
+            _write_csv, header=["r", "h", "dh", "h0", "A_h1"], columns=columns)))
+    return _finish("solve", start, inputs, outputs, writes)
 
 
 def cmd_bounds(a_min, a_max, n_samples=200, out_path=None):
@@ -122,25 +147,23 @@ def cmd_bounds(a_min, a_max, n_samples=200, out_path=None):
     grid = np.linspace(a_min, a_max, int(n_samples))
     upper_t = theorem1_b_max(grid)
     upper_l = lemma_b_max(grid)
-    if out_path is not None:
-        _write_csv(out_path, ["a", "theorem1_b_max", "lemma_b_max"], [grid, upper_t, upper_l])
+    inputs = {
+        "a_min_nondim": float(a_min),
+        "a_max_nondim": float(a_max),
+        "n_samples": int(n_samples),
+    }
     outputs = {
         "n_rows": int(grid.size),
         "theorem1_b_max_min_nondim": float(upper_t.min()),
         "lemma_b_max_min_nondim": float(upper_l.min()),
     }
+    writes = []
     if out_path is not None:
         outputs["bounds_csv"] = out_path
-    return RunReport(
-        command="bounds",
-        inputs={
-            "a_min_nondim": float(a_min),
-            "a_max_nondim": float(a_max),
-            "n_samples": int(n_samples),
-        },
-        outputs=outputs,
-        timing_ms=1e3 * (time.perf_counter() - start),
-    )
+        writes.append((out_path, functools.partial(
+            _write_csv, header=["a", "theorem1_b_max", "lemma_b_max"],
+            columns=[grid, upper_t, upper_l])))
+    return _finish("bounds", start, inputs, outputs, writes)
 
 
 def cmd_synth(a, b, ecc2=0.0, scale_radius=5.5, out_path=None, **fields):
@@ -156,26 +179,23 @@ def cmd_synth(a, b, ecc2=0.0, scale_radius=5.5, out_path=None, **fields):
         **fields,
     )
     mesh = generate_synthetic(spec)
-    write_mesh(mesh, out_path)
-    return RunReport(
-        command="synth",
-        inputs={
-            "a_nondim": float(spec.params.a),
-            "b_nondim": float(spec.params.b),
-            "ecc2_nondim": float(spec.ellipse.signed_ecc_sq),
-            "scale_radius_mm": float(spec.scale_radius),
-            "noise_sigma_mm": float(spec.noise_sigma),
-            "seed": int(spec.seed),
-            "n_x": int(spec.n_x),
-            "n_y": int(spec.n_y),
-        },
-        outputs={
-            "mesh_path": out_path,
-            "n_valid": int(mesh.valid.sum()),
-            "max_elevation_mm": float(np.nanmax(mesh.z)),
-        },
-        timing_ms=1e3 * (time.perf_counter() - start),
-    )
+    inputs = {
+        "a_nondim": float(spec.params.a),
+        "b_nondim": float(spec.params.b),
+        "ecc2_nondim": float(spec.ellipse.signed_ecc_sq),
+        "scale_radius_mm": float(spec.scale_radius),
+        "noise_sigma_mm": float(spec.noise_sigma),
+        "seed": int(spec.seed),
+        "n_x": int(spec.n_x),
+        "n_y": int(spec.n_y),
+    }
+    outputs = {
+        "mesh_path": out_path,
+        "n_valid": int(mesh.valid.sum()),
+        "max_elevation_mm": float(np.nanmax(mesh.z)),
+    }
+    return _finish("synth", start, inputs, outputs,
+                   [(out_path, functools.partial(write_mesh, mesh))])
 
 
 def cmd_fit(mesh_path, out_path=None, **fields):
@@ -206,44 +226,28 @@ def cmd_fit(mesh_path, out_path=None, **fields):
         "error_summary": result.error_summary(),
     }
     inputs = {"mesh_path": mesh_path, "level_fraction_nondim": options.level_fraction}
-    if out_path is None:
-        return RunReport("fit", inputs, outputs, 1e3 * (time.perf_counter() - start))
+    writes = []
+    if out_path is not None:
+        outputs["report_path"] = out_path
+        outputs["errors_mesh_path"] = out_path + ".errors"
+        writes.append((out_path + ".errors", _grid_writer(mesh, result.error_grid_mm)))
+    return _finish("fit", start, inputs, outputs, writes, report_path=out_path)
 
-    outputs["report_path"] = out_path
-    outputs["errors_mesh_path"] = out_path + ".errors"
-    # the report is opened before the grid is written, so a report path that
-    # cannot be opened leaves no grid behind; a grid that cannot be written
-    # takes the empty report with it
-    with open(out_path, "w", encoding="ascii") as handle:
+
+def _read_fit_report(path, keys):
+    """The values of keys in a fit report, as floats."""
+    entries = dict(line.split(" = ", 1) for line in _read_ascii(path).splitlines()
+                   if " = " in line)
+    values = []
+    for key in keys:
+        text = entries.get(key)
+        if text is None:
+            raise ParseError(f"fit report is missing key {key!r}")
         try:
-            write_mesh(replace(mesh, z=result.error_grid_mm, valid=None), out_path + ".errors")
-        except OSError:
-            handle.close()
-            os.remove(out_path)
-            raise
-        report = RunReport("fit", inputs, outputs, 1e3 * (time.perf_counter() - start))
-        handle.write(report.render())
-    return report
-
-
-def _parse_report(path):
-    entries = {}
-    for raw in _read_ascii(path).splitlines():
-        key, sep, value = raw.partition(" = ")
-        if sep:
-            entries[key] = value
-    return entries
-
-
-def _report_float(entries, key):
-    try:
-        text = entries[key]
-    except KeyError:
-        raise ParseError(f"fit report is missing key {key!r}") from None
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"fit report value of {key} is not a number: {text!r}") from None
+            values.append(float(text))
+        except ValueError:
+            raise ParseError(f"fit report value of {key} is not a number: {text!r}") from None
+    return values
 
 
 def cmd_axial(mesh_path, fit_path=None, out_path=None,
@@ -266,20 +270,12 @@ def cmd_axial(mesh_path, fit_path=None, out_path=None,
         errors = None
     else:
         inputs["fit_path"] = fit_path
-        entries = _parse_report(fit_path)
-        a, b, signed_ecc_sq, scale, apex_x, apex_y = (
-            _report_float(entries, key)
-            for key in ("a_nondim", "b_nondim", "signed_ecc_sq_nondim",
-                        "scale_radius_mm", "apex_x_mm", "apex_y_mm")
-        )
+        a, b, signed_ecc_sq, scale, apex_x, apex_y = _read_fit_report(
+            fit_path, ("a_nondim", "b_nondim", "signed_ecc_sq_nondim",
+                       "scale_radius_mm", "apex_x_mm", "apex_y_mm"))
         d_mesh, errors = axial_error_grid(
-            mesh,
-            ModelParams(a=a, b=b),
-            DomainEllipse.from_signed_ecc_sq(signed_ecc_sq),
-            scale,
-            (apex_x, apex_y),
-            gradient_floor,
-        )
+            mesh, ModelParams(a=a, b=b), DomainEllipse.from_signed_ecc_sq(signed_ecc_sq),
+            scale, (apex_x, apex_y), gradient_floor)
 
     defined = np.isfinite(d_mesh)
     outputs["n_defined"] = int(defined.sum())
@@ -287,19 +283,14 @@ def cmd_axial(mesh_path, fit_path=None, out_path=None,
         outputs["d_mean_mm"] = float(d_mesh[defined].mean())
     if errors is not None:
         outputs["axial_mean_abs_error_mm"] = float(errors[~np.isnan(errors)].mean())
+    writes = []
     if out_path is not None:
-        write_mesh(replace(mesh, z=d_mesh, valid=None), out_path)
         outputs["d_mesh_path"] = out_path
+        writes.append((out_path, _grid_writer(mesh, d_mesh)))
         if errors is not None:
-            write_mesh(replace(mesh, z=errors, valid=None), out_path + ".errors")
             outputs["errors_mesh_path"] = out_path + ".errors"
-
-    return RunReport(
-        command="axial",
-        inputs=inputs,
-        outputs=outputs,
-        timing_ms=1e3 * (time.perf_counter() - start),
-    )
+            writes.append((out_path + ".errors", _grid_writer(mesh, errors)))
+    return _finish("axial", start, inputs, outputs, writes)
 
 
 @functools.cache

@@ -159,7 +159,7 @@ def generate_synthetic(spec):
     linspace(-S R1, S R1, n_x) and y over linspace(-S R2, S R2, n_y),
     so the rim points on the axes land on the footprint boundary and are
     kept (the mask is elliptical radius <= 1). Outside the footprint
-    z is NaN.
+    z is NaN; a grid with no point inside it raises ValueError.
     """
     scale = spec.scale_radius
     half_x = scale * spec.ellipse.semi_axis_x
@@ -169,6 +169,8 @@ def generate_synthetic(spec):
     grid_x, grid_y = np.meshgrid(x, y)
     rel = np.sqrt((grid_x / half_x) ** 2 + (grid_y / half_y) ** 2)
     valid = rel <= 1.0
+    if not valid.any():
+        raise ValueError("no grid point lies inside the footprint; use more samples")
 
     z = np.full((spec.n_y, spec.n_x), np.nan)
     z[valid] = scale * _h0_values(spec.params, rel[valid])

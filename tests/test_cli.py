@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface, run in process."""
 
 import dataclasses
+import errno
 import os
 import subprocess
 import sys
@@ -94,6 +95,16 @@ class TestSolveCommand:
         code, _, stderr = run(capsys, "solve", "--a", "-1", "--b", "2")
         assert code == 2
         assert "error:" in stderr
+
+    def test_infinite_tolerance_exits_2_naming_it(self, capsys, tmp_path):
+        # an infinite tol would accept the first Picard iterate as converged
+        out = tmp_path / "profile.csv"
+        code, stdout, stderr = run(capsys, "solve", "--a", "2", "--b", "2",
+                                   "--tol", "inf", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error:") and "tol" in stderr
+        assert not out.exists()
 
 
 class TestCsvWriter:
@@ -321,6 +332,59 @@ class TestBadInputFiles:
             ["mesh.txt", "reports" if blocked == "report" else "fit.txt.errors"]
         )
 
+    @pytest.mark.parametrize("argv,blocked", [
+        (["solve", "--a", "2", "--b", "2", "--out", "out.csv"], "out.csv"),
+        (["bounds", "--a-min", "0.5", "--a-max", "5", "--out", "out.csv"], "out.csv"),
+        (["synth", "--a", "2", "--b", "2", "--out", "out.txt"], "out.txt"),
+        (["axial", "--mesh", "mesh.txt", "--out", "d.txt"], "d.txt"),
+        (["axial", "--mesh", "mesh.txt", "--fit", "fit.txt", "--out", "d.txt"], "d.txt"),
+        (["axial", "--mesh", "mesh.txt", "--fit", "fit.txt", "--out", "d.txt"],
+         "d.txt.errors"),
+        (["fit", "--mesh", "mesh.txt", "--out", "report.txt"], "report.txt"),
+    ], ids=["solve", "bounds", "synth", "axial", "axial-fit-field", "axial-fit-errors", "fit"])
+    def test_unwritable_output_exits_1_and_leaves_no_file(self, capsys, tmp_path,
+                                                          monkeypatch, argv, blocked):
+        # a directory where one of the command's files should go: the command
+        # names it, writes none of its files, and leaves every file already
+        # there as it was, the fit case's pre-existing report.txt.errors too
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--a", "2", "--b", "2", "--n-x", "41", "--n-y", "41",
+                     "--out", "mesh.txt"]) == 0
+        assert main(["fit", "--mesh", "mesh.txt", "--out", "fit.txt"]) == 0
+        (tmp_path / "report.txt.errors").write_text("kept\n")
+        (tmp_path / blocked).mkdir()
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()
+                  if path.is_file()}
+        capsys.readouterr()
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:") and repr(blocked) in stderr
+        assert sorted(os.listdir(tmp_path)) == sorted([*before, blocked])
+        assert not any((tmp_path / blocked).iterdir())
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+    def test_failed_write_leaves_its_own_path_alone(self, capsys, tmp_path, monkeypatch):
+        # a path the command could not write may be the user's file: only the
+        # files the command finished are removed
+        mesh_path, fit_path = fit_report(capsys, tmp_path)
+        out = tmp_path / "d.txt"
+        (tmp_path / "d.txt.errors").write_text("kept\n")
+        write_mesh = cli.write_mesh
+
+        def refuse_errors(mesh, path):
+            if path.endswith(".errors"):
+                raise PermissionError(errno.EACCES, "Permission denied", path)
+            write_mesh(mesh, path)
+
+        monkeypatch.setattr(cli, "write_mesh", refuse_errors)
+        code, _, stderr = run(capsys, "axial", "--mesh", str(mesh_path), "--fit", str(fit_path),
+                              "--out", str(out))
+        assert code == 1
+        assert "d.txt.errors" in stderr
+        assert not out.exists()
+        assert (tmp_path / "d.txt.errors").read_text() == "kept\n"
+
     def test_unparsable_report_value_exits_1_naming_the_key(self, capsys, tmp_path):
         mesh_path, fit_path = fit_report(capsys, tmp_path)
         replace_report_value(fit_path, "a_nondim", "x")
@@ -341,6 +405,18 @@ class TestBadInputFiles:
 
 
 class TestSilentFailuresExitLoudly:
+    def test_empty_synthetic_mesh_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        # a 2 x 2 grid has no point inside the footprint: its corners lie
+        # at elliptical radius sqrt(2)
+        out = tmp_path / "mesh.txt"
+        code, stdout, stderr = run(capsys, "synth", "--a", "2", "--b", "2",
+                                   "--n-x", "2", "--n-y", "2", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error:") and "footprint" in stderr
+        assert "Warning" not in stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("key,value", [("apex_x_mm", "nan"), ("apex_y_mm", "inf")])
     def test_non_finite_apex_exits_2(self, capsys, tmp_path, key, value):
         mesh_path, fit_path = fit_report(capsys, tmp_path)

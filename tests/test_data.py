@@ -424,6 +424,20 @@ class TestSynthetic:
             assert mesh.valid[i, j]
             assert mesh.z[i, j] == 0.0
 
+    @pytest.mark.parametrize("n_x,n_y", [(2, 2), (2, 4), (4, 2)])
+    def test_grid_with_no_point_inside_raises(self, n_x, n_y):
+        spec = SynthSpec(params=ModelParams(a=2.0, b=2.0), scale_radius=5.5,
+                         ellipse=CIRCLE, n_x=n_x, n_y=n_y)
+        with pytest.raises(ValueError, match="footprint"):
+            generate_synthetic(spec)
+
+    def test_grid_with_only_rim_points_inside_is_kept(self):
+        # 2 x 3: the middle row's two points sit on the rim, at radius 1
+        spec = SynthSpec(params=ModelParams(a=2.0, b=2.0), scale_radius=5.5,
+                         ellipse=CIRCLE, n_x=2, n_y=3)
+        assert generate_synthetic(spec).valid.tolist() == [[False, False], [True, True],
+                                                           [False, False]]
+
     def test_mask_is_elliptical_footprint(self):
         spec = SynthSpec(params=ModelParams(a=2.0, b=2.0), scale_radius=5.5,
                          ellipse=DomainEllipse.from_signed_ecc_sq(0.0234),

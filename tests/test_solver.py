@@ -222,6 +222,11 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(TWO_TWO, RadialGrid.uniform(101), tol=0.0)
 
+    def test_infinite_tolerance_rejected(self):
+        # it would return the first Picard iterate as the converged profile
+        with pytest.raises(ValueError, match="tol"):
+            solve(TWO_TWO, RadialGrid.uniform(101), tol=math.inf)
+
     def test_deterministic_bit_identical(self):
         grid = RadialGrid.uniform(201)
         first = solve(TWO_TWO, grid)
@@ -568,6 +573,12 @@ class TestFdOracle:
             errors.append(np.max(np.abs(lin.h - h0_profile(TWO_TWO, grid).h)))
         assert 3.5 <= errors[0] / errors[1] <= 4.5
         assert 3.5 <= errors[1] / errors[2] <= 4.5
+
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # an infinite tol would return the initial guess h0 unchanged
+        with pytest.raises(ValueError, match="tol"):
+            fd_oracle(TWO_TWO, RadialGrid.uniform(101), tol=tol)
 
     def test_tolerance_below_noise_floor_raises(self):
         # the discrete residual cannot be driven below float64 noise
