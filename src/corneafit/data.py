@@ -14,8 +14,17 @@ significant digits, so write -> read is bit-exact. The reader also takes
 ``inf`` and ``-inf`` (and ``float``'s other spellings, such as ``Infinity``);
 they load as non-finite samples, which the valid mask counts as missing.
 It refuses the ``_`` digit separator that Python's ``float`` accepts:
-``1_5`` is a bad value, not 15. CSV tables (a line of column names, then
-comma-separated rows) share the mesh writer.
+``1_5`` is a bad value, not 15. ``#``, quotes and NUL are bad values too;
+values are separated by ASCII whitespace, lines end at any break
+``str.splitlines`` knows, and blank lines are skipped. CSV tables (a line
+of column names, then comma-separated rows) share the mesh writer.
+
+The reader parses the body in one pass: after the header checks and a
+count of the non-blank lines, one ``np.loadtxt`` call (``comments=None``,
+so ``#`` is a token) reads every value with the same string-to-double
+routine as ``float``. Its array is kept when its shape is the header's
+and the text holds no ``_``. Otherwise a per-line walker parses the body
+again; it alone raises the errors, with their line and column.
 
 The writer produces exactly the bytes of format(v, ".17g") per value,
 computed in numpy for a block of values at once. A finite x with
@@ -206,9 +215,11 @@ def read_mesh(path):
 
     Raises ParseError for non-ASCII bytes, malformed headers or tokens
     (with line and column) and DimensionMismatch when the body disagrees
-    with the declared shape.
+    with the declared shape. A well-formed body is parsed by np.loadtxt
+    alone; the per-line walker runs only when that fails.
     """
-    lines = _read_ascii(path).splitlines()
+    text = _read_ascii(path)
+    lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError("empty mesh file", line=1)
 
@@ -238,7 +249,31 @@ def read_mesh(path):
         raise DimensionMismatch(
             f"header declares {rows} rows, file has {len(body)}", line=len(lines)
         )
-    # rows are stacked only after every width is checked against the header
+    try:
+        # np.loadtxt reads tokens with float()'s string-to-double routine,
+        # which refuses "_" by itself; the text check keeps that explicit
+        z = None if "_" in text else np.loadtxt(lines[1:], dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        z = None
+    if z is None or z.shape != (rows, cols):
+        z = _walk_rows(body, cols)
+
+    return SurfaceMesh(
+        n_x=cols,
+        n_y=rows,
+        spacing_x=spacing_x,
+        spacing_y=spacing_y,
+        origin_x=origin_x,
+        origin_y=origin_y,
+        z=z,
+    )
+
+
+def _walk_rows(body, cols):
+    """Parse the body's (line number, line) pairs one line at a time:
+    read_mesh's error path, which raises at the first ragged row or bad
+    value with its line and column. Rows are stacked only after every
+    width is checked against the header."""
     z_rows = []
     for number, line in body:
         tokens = line.split()
@@ -252,16 +287,7 @@ def read_mesh(path):
             z_rows.append(np.fromiter(map(float, tokens), float, cols))
         except ValueError:
             _raise_bad_token(tokens, number)
-
-    return SurfaceMesh(
-        n_x=cols,
-        n_y=rows,
-        spacing_x=spacing_x,
-        spacing_y=spacing_y,
-        origin_x=origin_x,
-        origin_y=origin_y,
-        z=np.vstack(z_rows),
-    )
+    return np.vstack(z_rows)
 
 
 def _raise_bad_token(tokens, number):

@@ -27,6 +27,11 @@ from .special import bessel_i, bessel_k
 # Lipschitz constant of P(x) = 1/sqrt(1+x^2): max |P'| = 2/(3 sqrt(3)).
 LIPSCHITZ_M = 2.0 / (3.0 * math.sqrt(3.0))
 
+# Largest a the admissibility bounds accept. Past a ~ 1.28e5 the product
+# I1(sqrt(a)) (2 I0(sqrt(a)) - 1) overflows and theorem1_b_max reads 0;
+# past a ~ 5.04e5 I0(sqrt(a)) itself overflows and both bounds read NaN.
+_BOUNDS_A_MAX = 1.25e5
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -121,6 +126,15 @@ def _check_a_values(a):
     return arr
 
 
+def _check_bounds_a(a):
+    arr = _check_a_values(a)
+    if not np.all(arr <= _BOUNDS_A_MAX):
+        raise ValueError(
+            f"the admissibility bounds need a <= {_BOUNDS_A_MAX:g}, got {float(arr.max())!r}"
+        )
+    return arr
+
+
 def _check_a(a):
     if np.ndim(a) != 0:
         raise ValueError(f"a must be a positive finite scalar, got {a!r}")
@@ -211,10 +225,12 @@ def theorem1_b_max(a, *, _i0=None, _i1=None):
     (3 sqrt(3) / 2) sqrt(a) I0(sqrt(a)) / (I1(sqrt(a)) (2 I0(sqrt(a)) - 1));
     equivalently the b at which bound_constants(...).contraction = 1.
     The existence guarantee requires b strictly below this value. a may
-    be an array; a scalar a gives a float. _i0 and _i1 are private to
-    the solver plan: I0(sqrt(a)) and I1(sqrt(a)) already evaluated.
+    be an array; a scalar a gives a float. An a above 1.25e5 raises
+    ValueError before any Bessel call: the formula overflows there. _i0
+    and _i1 are private to the solver plan: I0(sqrt(a)) and I1(sqrt(a))
+    already evaluated.
     """
-    sa = np.sqrt(_check_a_values(a))
+    sa = np.sqrt(_check_bounds_a(a))
     i0 = bessel_i(0, sa) if _i0 is None else _i0
     i1 = bessel_i(1, sa) if _i1 is None else _i1
     return _scalar_like((3.0 * math.sqrt(3.0) / 2.0) * sa * i0 / (i1 * (2.0 * i0 - 1.0)), a)
@@ -225,10 +241,10 @@ def lemma_b_max(a, *, _i0=None, _i1=None):
 
     (sqrt(a)/I1(sqrt(a))) * sqrt(2 I0(sqrt(a)) - 1) / (I0(sqrt(a)) - 1);
     diverges as a -> 0+ (the denominator vanishes). Non-strict bound. a
-    may be an array; a scalar a gives a float. _i0 and _i1 as in
+    may be an array; a scalar a gives a float. a, _i0 and _i1 as in
     theorem1_b_max.
     """
-    sa = np.sqrt(_check_a_values(a))
+    sa = np.sqrt(_check_bounds_a(a))
     i0 = bessel_i(0, sa) if _i0 is None else _i0
     i1 = bessel_i(1, sa) if _i1 is None else _i1
     return _scalar_like((sa / i1) * np.sqrt(2.0 * i0 - 1.0) / (i0 - 1.0), a)

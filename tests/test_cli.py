@@ -5,6 +5,7 @@ import errno
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,20 @@ class TestBoundsCommand:
         code, _, stderr = run(capsys, "bounds", "--a-min", "5", "--a-max", "1")
         assert code == 2
         assert "error:" in stderr
+
+    @pytest.mark.parametrize("a_max", ["1e6", "1e308"])
+    def test_a_past_the_largest_exits_2_without_nan(self, capsys, tmp_path, a_max):
+        # I0(sqrt(a)) overflows here; the bounds used to print nan, exit 0
+        out = tmp_path / "bounds.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = run(capsys, "bounds", "--a-min", "0.5", "--a-max", a_max,
+                                       "--n-samples", "3", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert stderr == ("error: the admissibility bounds need a <= 125000, "
+                          f"got {float(a_max)!r}\n")
+        assert not out.exists()
 
 
 class TestPipeline:

@@ -248,6 +248,179 @@ class TestMeshWriter:
         assert excinfo.value.line == 3
 
 
+def read_text(directory, text):
+    path = directory / "mesh.txt"
+    path.write_bytes(text.encode("ascii"))
+    return read_mesh(path)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+HEADER_2X2 = "2 2 1.0 1.0 0.0 0.0\n"
+
+
+class TestTextFormatEdges:
+    """Where np.loadtxt's defaults differ from the text format, the
+    reader still gives float()'s value or the error at its line and
+    column."""
+
+    @pytest.mark.parametrize("body,message,line,column", [
+        ("1 #\n3 4\n", "bad value '#'", 2, 2),
+        ("1 2\n#3 4\n", "bad value '#3'", 3, 1),
+        ('"1" 2\n3 4\n', "bad value '\"1\"'", 2, 1),
+        ("1 2\n3 '4'\n", "bad value \"'4'\"", 3, 2),
+        ("1\x00 2\n3 4\n", "bad value '1\\x00'", 2, 1),
+        ("1 2\n3 4\x00\n", "bad value '4\\x00'", 3, 2),
+    ], ids=["hash", "hash-prefix", "double-quote", "single-quote", "nul", "nul-last"])
+    def test_comment_quote_and_nul_are_bad_values(self, tmp_path, body, message, line, column):
+        with pytest.raises(ParseError) as excinfo:
+            read_text(tmp_path, HEADER_2X2 + body)
+        assert type(excinfo.value) is ParseError
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+        assert str(excinfo.value) == f"{message} (line {line}, column {column})"
+
+    def test_trailing_comment_is_a_ragged_row(self, tmp_path):
+        with pytest.raises(DimensionMismatch) as excinfo:
+            read_text(tmp_path, HEADER_2X2 + "1 2\n3 4 # x\n")
+        assert str(excinfo.value) == "row has 4 values, expected 2 (line 3)"
+
+    @pytest.mark.parametrize("body", [
+        "1\x1f2\n3\x1f\x1f4\n",
+        "1 \x1f 2\n\x1f3 4\x1f\n",
+        "1\t2\n3\t \t4\n",
+        "1 2\x0b3 4\n",
+        "1 2\x0c3 4\n",
+        "1 2\x1c3 4\x1e",
+        "1 2\r3 4\r",
+        "1 2\r\n3 4\r\n",
+        "\n1 2\n   \n\t\n\x1f\n3 4\n\n",
+        "\r\r1 2\r \r3 4",
+    ], ids=["unit-separator", "unit-separator-padding", "tab", "vertical-tab-line",
+            "form-feed-line", "file-record-separator-lines", "cr-only", "crlf", "blank-lines",
+            "cr-blank-lines"])
+    def test_separators_and_line_ends_load_float_values(self, tmp_path, body):
+        mesh = read_text(tmp_path, HEADER_2X2 + body)
+        np.testing.assert_array_equal(bits(mesh.z), bits([[1.0, 2.0], [3.0, 4.0]]))
+
+    def test_form_feed_between_values_ends_the_line(self, tmp_path):
+        # str.splitlines breaks at \x0c (and \x0b, \x1c-\x1e), so "1\x0c2"
+        # is two lines
+        with pytest.raises(DimensionMismatch) as excinfo:
+            read_text(tmp_path, HEADER_2X2 + "1\x0c2\n3 4\n")
+        assert str(excinfo.value) == "header declares 2 rows, file has 3 (line 4)"
+
+    def test_float_spellings_keep_their_bits(self, tmp_path):
+        tokens = ["Infinity", "+inf", "-INF", "1e400", "-nan", "NaN", "-0", "+.5e-3",
+                  "4.9406564584124654e-324", "1.7976931348623157e308"]
+        text = "5 2 1.0 1.0 0.0 0.0\n" + "".join(
+            f"{tokens[i]} {tokens[i + 1]}\n" for i in range(0, len(tokens), 2))
+        mesh = read_text(tmp_path, text)
+        np.testing.assert_array_equal(bits(mesh.z).ravel(), bits([float(t) for t in tokens]))
+
+    @pytest.mark.parametrize("body,message", [
+        ("1 2\n3\n", "row has 1 values, expected 2 (line 3)"),
+        ("1 2 5\n3 4\n", "row has 3 values, expected 2 (line 2)"),
+        ("1 2\n\n3 4 5\n\n", "row has 3 values, expected 2 (line 4)"),
+        ("1 2\n3 4\n5 6\n", "header declares 2 rows, file has 3 (line 4)"),
+        ("1 2\n3 4\n\n5 6\n\n", "header declares 2 rows, file has 3 (line 6)"),
+        ("1 2\n\n \n", "header declares 2 rows, file has 1 (line 4)"),
+        ("\n \t\n\x1f\n", "header declares 2 rows, file has 0 (line 4)"),
+        ("", "header declares 2 rows, file has 0 (line 1)"),
+    ], ids=["short-row", "long-row", "long-row-after-blank", "extra-row",
+            "extra-row-after-blank", "missing-row", "only-blank-lines", "no-body"])
+    def test_ragged_and_extra_rows_name_their_line(self, tmp_path, body, message):
+        with pytest.raises(DimensionMismatch) as excinfo:
+            read_text(tmp_path, HEADER_2X2 + body)
+        assert str(excinfo.value) == message
+
+    def test_bad_value_before_a_ragged_row_is_reported_first(self, tmp_path):
+        with pytest.raises(ParseError) as excinfo:
+            read_text(tmp_path, "3 2 1.0 1.0 0.0 0.0\n1 2\n3 0x10\n5\n")
+        assert type(excinfo.value) is ParseError
+        assert (excinfo.value.line, excinfo.value.column) == (3, 2)
+
+
+def reference_read(text):
+    """The body grammar of the text format in plain Python, for a file
+    whose header is valid: float() per token, `_` refused, blank lines
+    skipped. The z values as a list, or (exception type, line, column)."""
+    lines = text.splitlines()
+    rows, cols = int(lines[0].split()[0]), int(lines[0].split()[1])
+    body = [(number, line) for number, line in enumerate(lines[1:], start=2) if line.strip()]
+    if len(body) != rows:
+        return DimensionMismatch, len(lines), None
+    values = []
+    for number, line in body:
+        tokens = line.split()
+        if len(tokens) != cols:
+            return DimensionMismatch, number, None
+        for column, token in enumerate(tokens, start=1):
+            try:
+                if "_" in token:
+                    raise ValueError(token)
+                values.append(float(token))
+            except ValueError:
+                return ParseError, number, column
+    return values
+
+
+WRITER_TOKENS = st.one_of(
+    st.floats().map(lambda x: format(x, ".17g")),
+    st.sampled_from(["nan", "-0", "inf", "-inf"]),
+)
+HOSTILE_TOKENS = st.sampled_from([
+    "1_5", "1e1_0", "0x10", "1d5", "nan(123)", "#", "#1", '"1"', "'2'", "\x00", "1\x00",
+    "Infinity", "+inf", "-INFINITY", "1e400", "-1e-400", "-nan", "+nan", ".5", "5.", "+", "e5",
+])
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", " \x1f "])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x1e"])
+BLANK_LINES = st.sampled_from(["", " ", "\t", "\x1f", " \x0b "])
+
+
+@st.composite
+def mesh_texts(draw):
+    """A header declaring rows x cols, then rows lines of about cols
+    tokens: writer tokens only, or mixed with hostile tokens, separators,
+    blank lines and a line count or widths off by one, for the whole
+    body or for single lines."""
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    hostile = draw(st.booleans())
+    tokens = st.one_of(WRITER_TOKENS, HOSTILE_TOKENS) if hostile else WRITER_TOKENS
+    separators = SEPARATORS if hostile else st.just(" ")
+    off_by_one = st.sampled_from([0, 0, 0, -1, 1]) if hostile else st.just(0)
+    n_lines = rows + draw(off_by_one)
+    body_width = cols + draw(off_by_one)
+    lines = []
+    for _ in range(n_lines):
+        width = body_width + draw(off_by_one)
+        row = draw(st.lists(tokens, min_size=width, max_size=width))
+        line = ""
+        for token in row:
+            line += draw(separators) + token if line else token
+        lines.append(line)
+        if hostile and draw(st.integers(0, 3)) == 0:
+            lines.append(draw(BLANK_LINES))
+    end = draw(LINE_ENDS) if hostile else "\n"
+    return f"{rows} {cols} 1.0 1.0 0.0 0.0" + end + "".join(line + end for line in lines)
+
+
+class TestReaderGrammar:
+    @settings(max_examples=400, deadline=None)
+    @given(mesh_texts())
+    def test_read_mesh_matches_the_reference_grammar(self, tmp_path_factory, text):
+        expected = reference_read(text)
+        if isinstance(expected, list):
+            mesh = read_text(tmp_path_factory.mktemp("mesh"), text)
+            np.testing.assert_array_equal(bits(mesh.z).ravel(), bits(expected))
+        else:
+            with pytest.raises(ParseError) as excinfo:
+                read_text(tmp_path_factory.mktemp("mesh"), text)
+            error = excinfo.value
+            assert (type(error), error.line, error.column) == expected
+
+
 def format_mismatches(directory, values, n_cols=3):
     """(value, written, expected) for every value whose text from
     _write_table differs from format(v, ".17g"); the values fill a table

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corneafit import kernel
 from corneafit.kernel import (
     LIPSCHITZ_M,
     AdmissibilityReport,
@@ -195,6 +196,22 @@ class TestBounds:
                 theorem1_b_max(bad)
             with pytest.raises(ValueError):
                 lemma_b_max(bad)
+
+    @pytest.mark.parametrize("bound", [theorem1_b_max, lemma_b_max])
+    def test_bounds_stay_positive_and_finite_up_to_the_largest_a(self, bound):
+        values = bound(np.geomspace(1e4, 1.25e5, 50))
+        assert np.all(np.isfinite(values) & (values > 0.0))
+
+    @pytest.mark.parametrize("bound", [theorem1_b_max, lemma_b_max])
+    @pytest.mark.parametrize("a", [1.3e5, 1e6, 1e308, np.array([2.0, 6e5])],
+                             ids=["zero-product", "overflow", "huge", "array"])
+    def test_a_past_the_largest_raises_before_any_bessel_call(self, monkeypatch, bound, a):
+        def no_bessel(*args, **kwargs):
+            raise AssertionError("Bessel function called")
+
+        monkeypatch.setattr(kernel, "bessel_i", no_bessel)
+        with pytest.raises(ValueError, match=r"need a <= 125000, got "):
+            bound(a)
 
 
 def scalar_theorem1_b_max(a):
