@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .data import (
     SynthSpec,
+    _number,
     _read_ascii,
     _write_csv,
     generate_synthetic,
@@ -235,7 +236,7 @@ def cmd_fit(mesh_path, out_path=None, **fields):
 
 
 def _read_fit_report(path, keys):
-    """The values of keys in a fit report, as floats."""
+    """The values of keys in a fit report, read as mesh numbers."""
     entries = dict(line.split(" = ", 1) for line in _read_ascii(path).splitlines()
                    if " = " in line)
     values = []
@@ -244,7 +245,7 @@ def _read_fit_report(path, keys):
         if text is None:
             raise ParseError(f"fit report is missing key {key!r}")
         try:
-            values.append(float(text))
+            values.append(_number(text))
         except ValueError:
             raise ParseError(f"fit report value of {key} is not a number: {text!r}") from None
     return values

@@ -19,12 +19,12 @@ values are separated by ASCII whitespace, lines end at any break
 ``str.splitlines`` knows, and blank lines are skipped. CSV tables (a line
 of column names, then comma-separated rows) share the mesh writer.
 
-The reader parses the body in one pass: after the header checks and a
-count of the non-blank lines, one ``np.loadtxt`` call (``comments=None``,
-so ``#`` is a token) reads every value with the same string-to-double
-routine as ``float``. Its array is kept when its shape is the header's
-and the text holds no ``_``. Otherwise a per-line walker parses the body
-again; it alone raises the errors, with their line and column.
+One ``np.loadtxt`` call (``comments=None``, so ``#`` is a token) parses
+the body with ``float``'s string-to-double routine; its array is kept
+when its shape is the header's and the text holds no ``_``. Otherwise an
+error locator walks the non-blank lines and raises the first ragged row
+or bad value with its line and column. ``_number`` holds the number rule
+(``float`` with ``_`` refused), which fit reports follow too.
 
 The writer produces exactly the bytes of format(v, ".17g") per value,
 computed in numpy for a block of values at once. A finite x with
@@ -175,8 +175,7 @@ def generate_synthetic(spec):
     half_y = scale * spec.ellipse.semi_axis_y
     x = np.linspace(-half_x, half_x, spec.n_x)
     y = np.linspace(-half_y, half_y, spec.n_y)
-    grid_x, grid_y = np.meshgrid(x, y)
-    rel = np.sqrt((grid_x / half_x) ** 2 + (grid_y / half_y) ** 2)
+    rel = np.sqrt((x / half_x) ** 2 + (y[:, None] / half_y) ** 2)
     valid = rel <= 1.0
     if not valid.any():
         raise ValueError("no grid point lies inside the footprint; use more samples")
@@ -215,8 +214,8 @@ def read_mesh(path):
 
     Raises ParseError for non-ASCII bytes, malformed headers or tokens
     (with line and column) and DimensionMismatch when the body disagrees
-    with the declared shape. A well-formed body is parsed by np.loadtxt
-    alone; the per-line walker runs only when that fails.
+    with the declared shape. np.loadtxt parses the body; only when it
+    fails does _raise_first_error walk the lines to name the error.
     """
     text = _read_ascii(path)
     lines = text.splitlines()
@@ -227,7 +226,7 @@ def read_mesh(path):
     if len(header) != 6:
         raise ParseError(f"expected 6 header fields, got {len(header)}", line=1)
     if "_" in lines[0]:
-        _raise_bad_token(header, 1)
+        _raise_first_error([(1, lines[0])], 6)
     try:
         rows, cols = int(header[0]), int(header[1])
     except ValueError:
@@ -250,13 +249,13 @@ def read_mesh(path):
             f"header declares {rows} rows, file has {len(body)}", line=len(lines)
         )
     try:
-        # np.loadtxt reads tokens with float()'s string-to-double routine,
-        # which refuses "_" by itself; the text check keeps that explicit
+        # np.loadtxt reads tokens with float()'s string-to-double routine;
+        # the text check is _number's "_" rule for every token at once
         z = None if "_" in text else np.loadtxt(lines[1:], dtype=float, comments=None, ndmin=2)
     except ValueError:
         z = None
     if z is None or z.shape != (rows, cols):
-        z = _walk_rows(body, cols)
+        _raise_first_error(body, cols)
 
     return SurfaceMesh(
         n_x=cols,
@@ -269,38 +268,30 @@ def read_mesh(path):
     )
 
 
-def _walk_rows(body, cols):
-    """Parse the body's (line number, line) pairs one line at a time:
-    read_mesh's error path, which raises at the first ragged row or bad
-    value with its line and column. Rows are stacked only after every
-    width is checked against the header."""
-    z_rows = []
-    for number, line in body:
+def _number(token):
+    """A number of the text format: what float() reads, except that the
+    `_` digit separator is refused. Raises ValueError."""
+    if "_" in token:
+        raise ValueError(f"the text format refuses '_': {token!r}")
+    return float(token)
+
+
+def _raise_first_error(lines, cols):
+    """Raise the error of the first bad line among the non-blank (line
+    number, line) pairs: DimensionMismatch when it does not hold cols
+    values, else ParseError at its first token that is not a _number.
+    It runs only once a parse has failed: finding no bad line is a bug."""
+    for number, line in lines:
         tokens = line.split()
         if len(tokens) != cols:
-            raise DimensionMismatch(
-                f"row has {len(tokens)} values, expected {cols}", line=number
-            )
-        if "_" in line:
-            _raise_bad_token(tokens, number)
-        try:
-            z_rows.append(np.fromiter(map(float, tokens), float, cols))
-        except ValueError:
-            _raise_bad_token(tokens, number)
-    return np.vstack(z_rows)
-
-
-def _raise_bad_token(tokens, number):
-    """Raise ParseError at the first of a line's tokens that is not a
-    number of the text format: float() refuses it, or it holds a `_`."""
-    for j, token in enumerate(tokens):
-        try:
-            if "_" in token:
-                raise ValueError(token)
-            float(token)
-        except ValueError:
-            raise ParseError(f"bad value {token!r}", line=number, column=j + 1) from None
-    raise AssertionError("no bad token on a line that failed to parse")
+            raise DimensionMismatch(f"row has {len(tokens)} values, expected {cols}",
+                                    line=number)
+        for column, token in enumerate(tokens, start=1):
+            try:
+                _number(token)
+            except ValueError:
+                raise ParseError(f"bad value {token!r}", line=number, column=column) from None
+    raise AssertionError("no bad line in a text that failed to parse")
 
 
 def write_mesh(mesh, path):

@@ -62,7 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolation, HypothesisViolation, NoConvergence
-from .kernel import AdmissibilityReport, ModelParams, admissibility, dv0, dv1, v0, v1
+from .kernel import (AdmissibilityReport, ModelParams, _check_bounds_a, admissibility,
+                     dv0, dv1, v0, v1)
 from .special import bessel_i, bessel_k
 
 
@@ -200,7 +201,8 @@ class _SolverPlan:
     def build(cls, params, grid):
         r = grid.nodes
         a = params.a
-        sa = math.sqrt(a)
+        # refuse an a past the bounds' limit before the tables overflow
+        sa = math.sqrt(_check_bounds_a(a))
         # the v0 table is I0(sqrt(a) r); it and I1(sqrt(a) r) are the only
         # Bessel-I arrays, and the Bessel values at sqrt(a) come from them
         # and from one scalar K0 (see the module docstring)

@@ -97,6 +97,16 @@ class TestSolveCommand:
         assert code == 2
         assert "error:" in stderr
 
+    def test_a_past_the_bounds_limit_exits_2_with_no_warning(self, capsys):
+        # the Bessel tables overflow at a = 6e5; a is refused before them
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run(capsys, "solve", "--a", "6e5", "--b", "1e-300")
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: the admissibility bounds need a <= 125000, got 600000.0\n"
+        assert [str(warning.message) for warning in caught] == []
+
     def test_infinite_tolerance_exits_2_naming_it(self, capsys, tmp_path):
         # an infinite tol would accept the first Picard iterate as converged
         out = tmp_path / "profile.csv"
@@ -407,6 +417,19 @@ class TestBadInputFiles:
                               "--fit", str(fit_path))
         assert code == 1
         assert "a_nondim" in stderr
+
+    def test_underscore_report_value_exits_1_and_writes_nothing(self, capsys, tmp_path):
+        # float() reads 1_9 as 19; the report follows the mesh number rule
+        mesh_path, fit_path = fit_report(capsys, tmp_path)
+        replace_report_value(fit_path, "a_nondim", "1_9")
+        out = tmp_path / "d.txt"
+        code, stdout, stderr = run(capsys, "axial", "--mesh", str(mesh_path),
+                                   "--fit", str(fit_path), "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: fit report value of a_nondim is not a number: '1_9'\n"
+        assert not out.exists()
+        assert not (tmp_path / "d.txt.errors").exists()
 
     @pytest.mark.parametrize("key,value", [("a_nondim", "nan"), ("a_nondim", "-2"),
                                            ("signed_ecc_sq_nondim", "1.5")])

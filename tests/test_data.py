@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corneafit import data
@@ -419,6 +419,64 @@ class TestReaderGrammar:
                 read_text(tmp_path_factory.mktemp("mesh"), text)
             error = excinfo.value
             assert (type(error), error.line, error.column) == expected
+
+
+def read_result(directory, text):
+    """read_mesh's result in reference_read's terms: the z values as a
+    list, or (exception type, line, column)."""
+    try:
+        return read_text(directory, text).z.ravel().tolist()
+    except ParseError as error:
+        return type(error), error.line, error.column
+
+
+def same_result(result, expected):
+    if isinstance(expected, list):
+        return isinstance(result, list) and np.array_equal(bits(result), bits(expected))
+    return result == expected
+
+
+def refuse_locator(*args):
+    pytest.fail("read_mesh entered the error locator")
+
+
+class TestOneBodyParser:
+    """np.loadtxt is the only parser of a body: the error locator runs
+    only for a text with an error, and every ASCII character, as a
+    separator or a token suffix, reads as the reference grammar says."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mesh_texts())
+    def test_well_formed_texts_never_enter_the_locator(self, tmp_path_factory, text):
+        expected = reference_read(text)
+        assume(isinstance(expected, list))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "_raise_first_error", refuse_locator)
+            mesh = read_text(tmp_path_factory.mktemp("mesh"), text)
+        np.testing.assert_array_equal(bits(mesh.z).ravel(), bits(expected))
+
+    def test_separator_cases_never_enter_the_locator(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_raise_first_error", refuse_locator)
+        for body in ["1\x1f2\n3\x1f\x1f4\n", "1 \x1f 2\n\x1f3 4\x1f\n", "1\t2\n3\t \t4\n",
+                     "1 2\x0b3 4\n", "1 2\x0c3 4\n", "1 2\x1c3 4\x1e", "1 2\r3 4\r",
+                     "1 2\r\n3 4\r\n", "\n1 2\n   \n\t\n\x1f\n3 4\n\n", "\r\r1 2\r \r3 4"]:
+            mesh = read_text(tmp_path, HEADER_2X2 + body)
+            np.testing.assert_array_equal(bits(mesh.z), bits([[1.0, 2.0], [3.0, 4.0]]))
+
+    @pytest.mark.parametrize("role", ["separator", "suffix"])
+    def test_every_ascii_character_reads_as_the_reference(self, tmp_path, role):
+        mismatches = []
+        for code in range(128):
+            c = chr(code)
+            if role == "separator":
+                body = f"1{c}2\n3{c}4\n-0.5{c}nan{c}\n"
+            else:
+                body = f"1{c} 2\n3 4.5{c}\n-0{c} inf\n"
+            text = "3 2 1.0 1.0 0.0 0.0\n" + body
+            result, expected = read_result(tmp_path, text), reference_read(text)
+            if not same_result(result, expected):
+                mismatches.append((c, result, expected))
+        assert mismatches == []
 
 
 def format_mismatches(directory, values, n_cols=3):

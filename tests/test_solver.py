@@ -307,6 +307,17 @@ class TestSolverPlan:
         cli.cmd_solve(2.0, 2.0, out_path=str(tmp_path / "profile.csv"))
         assert calls == {"picard_step": 0, "h0_profile": 1}
 
+    @pytest.mark.parametrize("a", [1.3e5, 6e5, 1e308])
+    def test_a_past_the_bounds_limit_is_refused_before_the_tables(self, monkeypatch, a):
+        # the tables overflow past a ~ 5e5, before the admissibility report
+        def no_bessel(*args, **kwargs):
+            raise AssertionError("Bessel function called")
+
+        monkeypatch.setattr(kernel, "bessel_i", no_bessel)
+        monkeypatch.setattr(solver, "bessel_i", no_bessel)
+        with pytest.raises(ValueError, match=r"need a <= 125000, got "):
+            solve(ModelParams(a=a, b=1e-300), RadialGrid.uniform(401))
+
     def test_report_carries_h0_and_first_iterate(self):
         grid = RadialGrid.uniform(401)
         report = solve(TWO_TWO, grid)
