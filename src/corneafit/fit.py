@@ -440,13 +440,13 @@ def fit_mesh(mesh, options=None):
     params = ModelParams(a=a, b=b)
 
     rel = radial_mm / scale
-    use = mesh.valid & (rel <= 1.0)
-    model_z = scale * _h0_values(params, rel[use])
-    abs_errors = np.abs(mesh.z[use] - model_z)
+    # every valid point has rel <= 1: the scale is their largest radius
+    model_z = scale * _h0_values(params, rel[mesh.valid])
+    abs_errors = np.abs(mesh.z[mesh.valid] - model_z)
     mean_abs = float(abs_errors.mean())
     mean_rel = mean_abs / height_mm
     error_grid = np.full(mesh.z.shape, np.nan)
-    error_grid[use] = abs_errors
+    error_grid[mesh.valid] = abs_errors
 
     d_mesh, axial_errors = axial_error_grid(
         mesh, params, ellipse, scale, (apex_x, apex_y), options.gradient_floor
@@ -466,7 +466,7 @@ def fit_mesh(mesh, options=None):
         mean_rel_error=mean_rel,
         axial_mean_abs_error_mm=axial_mean_abs,
         axial_mean_rel_error=axial_mean_rel,
-        n_points_used=int(use.sum()),
+        n_points_used=int(mesh.valid.sum()),
         apex_x_mm=float(apex_x),
         apex_y_mm=float(apex_y),
         error_grid_mm=error_grid,
@@ -523,13 +523,12 @@ def axial_distance_map(mesh_or_model, ellipse, gradient_floor=FitOptions.gradien
         scale = model.scale_radius
         rel = elliptical_radius(x / scale, y / scale, ellipse)
         inside = rel <= 1.0
-        # z_x = q x / (S R1^2), z_y = q y / (S R2^2) with q = h0'(rel)/rel,
-        # whose apex limit is h0''(0) = -b / (2 I0(sqrt(a))).
+        # z_x = q x / (S R1^2), z_y = q y / (S R2^2) with q = h0'(rel)/rel;
+        # q stays NaN at the apex, where x = y = 0 and the gradient floor
+        # masks the point whatever q holds
         q = np.full(rel.shape, np.nan)
-        apex_limit = -model.params.b / (2.0 * bessel_i(0, math.sqrt(model.params.a)))
         positive = inside & (rel > 0.0)
         q[positive] = _dh0_values(model.params, rel[positive]) / rel[positive]
-        q[inside & (rel == 0.0)] = apex_limit
         grad_x = q * x / (scale * ellipse.semi_axis_x**2)
         grad_y = q * y / (scale * ellipse.semi_axis_y**2)
         defined = inside

@@ -37,11 +37,8 @@ v1, v1', h0, h0' and the admissibility bounds need are the r = 1
 elements of those two arrays: the grid ends exactly at 1, and bessel_i
 gives each element the bits a scalar call would. The K0(sqrt(a) r) and
 K1(sqrt(a) r) arrays reuse the same two arrays in their small-argument
-series. K0(sqrt(a)) is one scalar bessel_k call, not an element of the
-K0(sqrt(a) r) array: for 3 < sqrt(a) < 16 the quadrature branch picks
-its step horizon from the smallest argument of the call, so an element
-of the array can differ from the scalar in its last bits. A solve thus
-makes 2 bessel_i calls and 3 bessel_k calls. The envelope constant A
+series, and K0(sqrt(a)) is one scalar bessel_k call. A solve thus makes
+2 bessel_i calls and 3 bessel_k calls. The envelope constant A
 and the slope factor 2 - 1/I0(sqrt(a)) come from the plan's I0(sqrt(a))
 and h0'(1), with no further Bessel call. solve builds one plan per
 call, keeps the first iterate h1 and hands the plan's h0 and that h1 to

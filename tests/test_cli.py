@@ -517,6 +517,65 @@ class TestSilentFailuresExitLoudly:
         assert "line 1" in stderr
 
 
+def geometric_failure_mesh(kind):
+    """A 41 x 41 mesh, spacing 0.05, on which fit fails in the named way."""
+    n, h = 41, 0.05
+    c = h * (np.arange(n) - 20)  # offsets from the central node
+    x, y = c, c[:, None]
+    z = np.full((n, n), np.nan)  # the "all nan" mesh
+    origin = -20 * h
+    if kind == "one sample":
+        z[20, 20] = 1.0
+    elif kind == "few samples":
+        z[19:22, 19:22] = 1.0 - x[19:22] ** 2 - y[19:22] ** 2
+    elif kind == "one row":
+        # every window sample has v = 0, so the fitted v-terms vanish
+        z[20, :] = 1.0 - x**2
+    elif kind == "saddle edge":
+        # the highest samples sit on the disc's rim, and the fitted
+        # surface's critical point is the saddle at the center
+        z = np.where(x**2 + y**2 <= 0.9**2, 1.0 - 2.0 * x**2 + 0.5 * y**2, np.nan)
+    elif kind == "negative dome":
+        z = -5.0 - x**2 - y**2
+    elif kind == "saddle spike":
+        # a spike makes the center a dome for the apex fit, but the half
+        # level of the saddle around it is a hyperbola
+        box = (np.abs(x) <= 0.75) & (np.abs(y) <= 0.75)
+        z = np.where(box, 1.0 - 2.0 * x**2 + 0.5 * y**2, np.nan)
+        z[20, 20] = 10.0
+    elif kind == "level on one row":
+        # a dome patch, and one row whose ripple crosses the half level;
+        # away from the origin the fitted apex rounds onto that row
+        z[16:25, 16:25] = 1.0 - x[16:25] ** 2 - y[16:25] ** 2
+        z[20, :] = np.where(np.abs(c) > 0.45, np.where(np.arange(n) % 2, 0.7, 0.3),
+                            1.0 - x**2)
+        origin = 4.0
+    return SurfaceMesh(n_x=n, n_y=n, spacing_x=h, spacing_y=h,
+                       origin_x=origin, origin_y=origin, z=z)
+
+
+class TestGeometricFailures:
+    @pytest.mark.parametrize("kind,message", [
+        ("all nan", "mesh has no valid samples"),
+        ("one sample", "footprint is a single point"),
+        ("few samples", "too few valid samples near the maximum"),
+        ("one row", "apex surface fit has a singular Hessian"),
+        ("saddle edge", "apex estimate left the fit window"),
+        ("negative dome", "no dome-shaped maximum in the fit window"),
+        ("saddle spike", "level curve is not an ellipse"),
+        ("level on one row", "level-curve points do not span both axes"),
+    ])
+    def test_fit_exits_3_and_writes_no_report(self, capsys, tmp_path, kind, message):
+        mesh_path, out = tmp_path / "mesh.txt", tmp_path / "fit.txt"
+        write_mesh(geometric_failure_mesh(kind), str(mesh_path))
+        code, stdout, stderr = run(capsys, "fit", "--mesh", str(mesh_path),
+                                   "--out", str(out))
+        assert code == 3
+        assert stdout == ""
+        assert stderr == f"error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [mesh_path]
+
+
 class TestRunReport:
     def test_renders_the_package_version(self):
         assert "version" not in {f.name for f in dataclasses.fields(cli.RunReport)}

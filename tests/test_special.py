@@ -73,6 +73,43 @@ class TestAgainstIndependentOracles:
                 )
 
 
+class TestWholeContractRange:
+    # the range solve and bounds reach: sqrt(a) r for a <= 1.25e5 is
+    # below 354
+    def test_i_matches_mpmath_up_to_360(self):
+        mpmath.mp.dps = 30
+        z = np.concatenate([[0.0], np.geomspace(1e-3, 360.0, 120), np.linspace(20.0, 360.0, 69)])
+        for nu in (0, 1, 2):
+            oracle = np.array([float(mpmath.besseli(nu, t)) for t in z])
+            np.testing.assert_allclose(bessel_i(nu, z), oracle, rtol=1e-12)
+
+    def test_k_matches_mpmath_up_to_360(self):
+        mpmath.mp.dps = 30
+        z = np.concatenate([np.geomspace(1e-8, 360.0, 120), np.linspace(2.0, 360.0, 73)])
+        for nu in (0, 1):
+            oracle = np.array([float(mpmath.besselk(nu, t)) for t in z])
+            np.testing.assert_allclose(bessel_k(nu, z), oracle, rtol=1e-12)
+
+    def test_i_switch_is_seamless(self):
+        mpmath.mp.dps = 30
+        for z in (29.999999, 30.0, 30.000001):
+            for nu in (0, 1, 2):
+                assert bessel_i(nu, z) == pytest.approx(
+                    float(mpmath.besseli(nu, z)), rel=1e-12
+                )
+
+    # z mixed across both contract ranges, which every rule serves
+    @given(st.lists(st.floats(min_value=1e-8, max_value=360.0), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_array_elements_carry_their_scalar_bits(self, values):
+        z = np.array(values)
+        for function, orders in ((bessel_i, (0, 1, 2)), (bessel_k, (0, 1))):
+            for nu in orders:
+                array = function(nu, z)
+                scalars = np.array([function(nu, t) for t in values])
+                np.testing.assert_array_equal(array.view(np.int64), scalars.view(np.int64))
+
+
 class TestFrozenValues:
     # mpmath, 40 significant digits
     CASES_I = [
