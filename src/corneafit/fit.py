@@ -116,8 +116,9 @@ class FitOptions:
             raise ValueError("apex_window_fraction must lie in (0, 1]")
         if not self.gradient_floor > 0.0:
             raise ValueError("gradient_floor must be positive")
-        if not self.apex_mask_radius >= 0.0:
-            raise ValueError("apex_mask_radius must be nonnegative")
+        # every valid point has rel <= 1, so a mask of radius 1 leaves none
+        if not 0.0 <= self.apex_mask_radius < 1.0:
+            raise ValueError("apex_mask_radius must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,27 @@ def _scalar_like(out, r):
     return out
 
 
+class _Bessel:
+    """I0 and I1 of sqrt(a) r on the nodes r (i0_r, i1_r) and I0, I1 and
+    K0 of sqrt(a) (i0, i1, k0). A value given to the constructor is kept;
+    any other is evaluated on first use, so a public function that builds
+    its own record evaluates only what it reads. The solver plan fills
+    one from the values it already holds."""
+
+    def __init__(self, sa, r=None, **values):
+        self.sa, self.r = sa, r
+        vars(self).update(values)
+
+    def __getattr__(self, name):
+        # reached only for a value not stored yet
+        if name not in ("i0_r", "i1_r", "i0", "i1", "k0"):
+            raise AttributeError(name)
+        z = self.sa * self.r if name.endswith("_r") else self.sa
+        value = (bessel_k if name == "k0" else bessel_i)(int(name[1]), z)
+        setattr(self, name, value)
+        return value
+
+
 def v0(r, a):
     """I0(sqrt(a) r) on [0, 1]; positive, nondecreasing, v0(0) = 1."""
     arr = _check_r(r, "v0", exclude_zero=False)
@@ -154,52 +175,41 @@ def v0(r, a):
     return _scalar_like(bessel_i(0, math.sqrt(a) * arr), r)
 
 
-def v1(r, a, *, _i0_r=None, _i0=None, _k0=None):
+def v1(r, a, *, _bessel=None):
     """I0(sqrt(a)) K0(sqrt(a) r) - I0(sqrt(a) r) K0(sqrt(a)) on (0, 1].
 
     Nonnegative, nonincreasing, v1(1) = 0; diverges logarithmically as
-    r -> 0+, so r = 0 is a domain error (see module docstring). _i0_r,
-    _i0 and _k0 are private to the solver plan: I0(sqrt(a) r) already
-    evaluated on r, I0(sqrt(a)) and K0(sqrt(a)).
+    r -> 0+, so r = 0 is a domain error (see module docstring). _bessel
+    is private to the solver plan: a _Bessel record on r.
     """
     arr = _check_r(r, "v1", exclude_zero=True)
-    a = _check_a(a)
-    sa = math.sqrt(a)
-    i0_r = bessel_i(0, sa * arr) if _i0_r is None else _i0_r
-    i0 = bessel_i(0, sa) if _i0 is None else _i0
-    k0 = bessel_k(0, sa) if _k0 is None else _k0
-    out = i0 * bessel_k(0, sa * arr, _i_z=i0_r) - i0_r * k0
+    sa = math.sqrt(_check_a(a))
+    bv = _bessel or _Bessel(sa, arr)
+    out = bv.i0 * bessel_k(0, sa * arr, _i_z=bv.i0_r) - bv.i0_r * bv.k0
     return _scalar_like(out, r)
 
 
-def dv0(r, a, *, _i1_r=None):
+def dv0(r, a, *, _bessel=None):
     """v0'(r) = sqrt(a) I1(sqrt(a) r); nonnegative on [0, 1].
 
-    _i1_r is private to the solver plan: I1(sqrt(a) r) already evaluated
-    on r.
+    _bessel is private to the solver plan: a _Bessel record on r.
     """
     arr = _check_r(r, "dv0", exclude_zero=False)
-    a = _check_a(a)
-    sa = math.sqrt(a)
-    i1_r = bessel_i(1, sa * arr) if _i1_r is None else _i1_r
-    return _scalar_like(sa * i1_r, r)
+    sa = math.sqrt(_check_a(a))
+    return _scalar_like(sa * (_bessel or _Bessel(sa, arr)).i1_r, r)
 
 
-def dv1(r, a, *, _i1_r=None, _i0=None, _k0=None):
+def dv1(r, a, *, _bessel=None):
     """v1'(r) = -sqrt(a) (I0(sqrt(a)) K1(sqrt(a) r) + I1(sqrt(a) r) K0(sqrt(a))).
 
     Nonpositive on (0, 1]; -r * dv1(r) is nonincreasing with limit
-    I0(sqrt(a)) as r -> 0+. _i1_r, _i0 and _k0 are private to the solver
-    plan: I1(sqrt(a) r) already evaluated on r, I0(sqrt(a)) and
-    K0(sqrt(a)).
+    I0(sqrt(a)) as r -> 0+. _bessel is private to the solver plan: a
+    _Bessel record on r.
     """
     arr = _check_r(r, "dv1", exclude_zero=True)
-    a = _check_a(a)
-    sa = math.sqrt(a)
-    i1_r = bessel_i(1, sa * arr) if _i1_r is None else _i1_r
-    i0 = bessel_i(0, sa) if _i0 is None else _i0
-    k0 = bessel_k(0, sa) if _k0 is None else _k0
-    out = -sa * (i0 * bessel_k(1, sa * arr, _i_z=i1_r) + i1_r * k0)
+    sa = math.sqrt(_check_a(a))
+    bv = _bessel or _Bessel(sa, arr)
+    out = -sa * (bv.i0 * bessel_k(1, sa * arr, _i_z=bv.i1_r) + bv.i1_r * bv.k0)
     return _scalar_like(out, r)
 
 
@@ -219,45 +229,41 @@ def bound_constants(params):
     return KernelBounds(q_bound=q, r_bound=r, lipschitz_m=LIPSCHITZ_M, contraction=LIPSCHITZ_M * r)
 
 
-def theorem1_b_max(a, *, _i0=None, _i1=None):
+def theorem1_b_max(a, *, _bessel=None):
     """Largest pressure with a guaranteed contraction at stiffness a.
 
     (3 sqrt(3) / 2) sqrt(a) I0(sqrt(a)) / (I1(sqrt(a)) (2 I0(sqrt(a)) - 1));
     equivalently the b at which bound_constants(...).contraction = 1.
     The existence guarantee requires b strictly below this value. a may
     be an array; a scalar a gives a float. An a above 1.25e5 raises
-    ValueError before any Bessel call: the formula overflows there. _i0
-    and _i1 are private to the solver plan: I0(sqrt(a)) and I1(sqrt(a))
-    already evaluated.
+    ValueError before any Bessel call: the formula overflows there.
+    _bessel is private to the solver plan: a _Bessel record at sqrt(a).
     """
     sa = np.sqrt(_check_bounds_a(a))
-    i0 = bessel_i(0, sa) if _i0 is None else _i0
-    i1 = bessel_i(1, sa) if _i1 is None else _i1
-    return _scalar_like((3.0 * math.sqrt(3.0) / 2.0) * sa * i0 / (i1 * (2.0 * i0 - 1.0)), a)
+    bv = _bessel or _Bessel(sa)
+    return _scalar_like(1.5 * math.sqrt(3.0) * sa * bv.i0 / (bv.i1 * (2.0 * bv.i0 - 1.0)), a)
 
 
-def lemma_b_max(a, *, _i0=None, _i1=None):
+def lemma_b_max(a, *, _bessel=None):
     """Largest pressure for which the envelope estimates are certified.
 
     (sqrt(a)/I1(sqrt(a))) * sqrt(2 I0(sqrt(a)) - 1) / (I0(sqrt(a)) - 1);
     diverges as a -> 0+ (the denominator vanishes). Non-strict bound. a
-    may be an array; a scalar a gives a float. a, _i0 and _i1 as in
+    may be an array; a scalar a gives a float. a and _bessel as in
     theorem1_b_max.
     """
     sa = np.sqrt(_check_bounds_a(a))
-    i0 = bessel_i(0, sa) if _i0 is None else _i0
-    i1 = bessel_i(1, sa) if _i1 is None else _i1
-    return _scalar_like((sa / i1) * np.sqrt(2.0 * i0 - 1.0) / (i0 - 1.0), a)
+    bv = _bessel or _Bessel(sa)
+    return _scalar_like((sa / bv.i1) * np.sqrt(2.0 * bv.i0 - 1.0) / (bv.i0 - 1.0), a)
 
 
-def admissibility(params, *, _i0=None, _i1=None):
+def admissibility(params, *, _bessel=None):
     """Evaluate both bounds at params and report the two verdicts.
 
-    _i0 and _i1 are private to the solver plan: I0(sqrt(a)) and
-    I1(sqrt(a)) already evaluated.
+    _bessel is private to the solver plan: a _Bessel record at sqrt(a).
     """
-    t1 = theorem1_b_max(params.a, _i0=_i0, _i1=_i1)
-    lm = lemma_b_max(params.a, _i0=_i0, _i1=_i1)
+    t1 = theorem1_b_max(params.a, _bessel=_bessel)
+    lm = lemma_b_max(params.a, _bessel=_bessel)
     return AdmissibilityReport(
         params=params,
         theorem1_b_max=t1,

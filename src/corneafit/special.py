@@ -22,7 +22,8 @@ Each function has two rules, and the relative error stays at or below
 
 All functions accept scalars or numpy arrays elementwise and return the
 matching kind; every element of an array call carries the bits of its
-scalar call. Domain violations raise ValueError.
+scalar call. Domain violations raise ValueError. K's domain starts at
+the smallest normal double, where K0 ~ 708.5 and K1 ~ 4.5e307 are finite.
 """
 
 import numpy as np
@@ -32,6 +33,8 @@ EULER_GAMMA = 0.57721566490153286060651209008240243104215933593992
 
 _I_SERIES_MAX = 30.0
 _K_SERIES_MAX = 3.0
+# smallest normal double: below it K's 1/z overflows and log(z/2) can be -inf
+_K_MIN = float(np.finfo(float).tiny)
 
 # trapezoid nodes w_j and weights 2 h exp(-w_j^2) (halved at w = 0) of
 # the large-argument rule
@@ -43,18 +46,14 @@ _WEIGHTS[0] *= 0.5
 _FACTORIAL = (1.0, 1.0, 2.0)
 
 
-def _prepare(z, name, minimum_exclusive):
-    """Flatten to 1-D float64, validating finiteness and the domain edge."""
+def _prepare(z, name, minimum):
+    """Flatten to 1-D float64, validating finiteness and z >= minimum."""
     arr = np.asarray(z, dtype=float)
     flat = arr.ravel()
     if flat.size and not np.isfinite(flat).all():
         raise ValueError(f"{name} requires finite arguments")
-    if minimum_exclusive:
-        if flat.size and (flat <= 0.0).any():
-            raise ValueError(f"{name} requires z > 0")
-    else:
-        if flat.size and (flat < 0.0).any():
-            raise ValueError(f"{name} requires z >= 0")
+    if flat.size and (flat < minimum).any():
+        raise ValueError(f"{name} requires z >= {minimum!r}")
     return arr, flat
 
 
@@ -138,7 +137,7 @@ def bessel_i(nu, z):
     """
     if nu not in (0, 1, 2):
         raise ValueError(f"bessel_i supports orders 0, 1, 2, got {nu!r}")
-    arr, flat = _prepare(z, "bessel_i", minimum_exclusive=False)
+    arr, flat = _prepare(z, "bessel_i", 0.0)
     out = np.empty_like(flat)
     small = flat <= _I_SERIES_MAX
     if small.any():
@@ -152,16 +151,17 @@ def bessel_i(nu, z):
 def bessel_k(nu, z, *, _i_z=None):
     """Modified Bessel function of the second kind, order nu in {0, 1}.
 
-    Requires z > 0 and finite. Relative error <= 1e-12 on [1e-8, 360]:
-    the log series for z <= 3, the fixed-node trapezoid rule above.
-    Each array element carries the bits of its scalar call. Order 2 is
+    Requires finite z >= 2.2250738585072014e-308, the smallest normal
+    double (see _K_MIN). Relative error <= 1e-12 on [1e-8, 360]: the
+    log series for z <= 3, the fixed-node trapezoid rule above. Each
+    array element carries the bits of its scalar call. Order 2 is
     rejected: nothing in the model needs it. _i_z is private to the
     solver plan: bessel_i(nu, z) already evaluated, which the
     small-argument series reuses instead of summing I_nu again.
     """
     if nu not in (0, 1):
         raise ValueError(f"bessel_k supports orders 0 and 1 only, got {nu!r}")
-    arr, flat = _prepare(z, "bessel_k", minimum_exclusive=True)
+    arr, flat = _prepare(z, "bessel_k", _K_MIN)
     out = np.empty_like(flat)
     small = flat <= _K_SERIES_MAX
     if small.any():
@@ -183,7 +183,7 @@ def wronskian_defect(z):
     The magnitude of the returned value measures the joint accuracy of
     the four evaluators; it stays within 1e-10 on [0.05, 50].
     """
-    arr, flat = _prepare(z, "wronskian_defect", minimum_exclusive=True)
+    arr, flat = _prepare(z, "wronskian_defect", _K_MIN)
     out = (
         bessel_i(0, flat) * bessel_k(1, flat)
         + bessel_i(1, flat) * bessel_k(0, flat)

@@ -888,3 +888,32 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize("radius", ["1", "1.5"])
+    def test_apex_mask_radius_of_one_or_more_exits_2_naming_it(self, capsys, tmp_path, radius):
+        # every valid point has rel <= 1, so such a mask leaves no point;
+        # the fit used to blame a missing overlap of the axial maps
+        mesh_path, _ = fit_report(capsys, tmp_path)
+        out = tmp_path / "refit.txt"
+        code, stdout, stderr = run(capsys, "fit", "--mesh", str(mesh_path),
+                                   "--apex-mask-radius", radius, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error:") and "apex_mask_radius" in stderr
+        assert "no overlap" not in stderr
+        assert not out.exists()
+
+    def test_bounds_with_one_sample_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "bounds.csv"
+        code, stdout, stderr = run(capsys, "bounds", "--a-min", "0.5", "--a-max", "5",
+                                   "--n-samples", "1", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error:")
+        assert not out.exists()
+
+    def test_synth_without_output_path_raises(self):
+        with pytest.raises(ValueError, match="output path"):
+            cli.cmd_synth(2.0, 2.0)

@@ -7,6 +7,7 @@ intentional modular overflow) is verified against an independent route.
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -767,3 +768,11 @@ class TestNoiseStream:
         short = _gaussian_field(3, 100)
         long = _gaussian_field(3, 1000)
         np.testing.assert_array_equal(short, long[:100])
+
+
+class TestSynthSpecGuards:
+    @pytest.mark.parametrize("axes", [(0.0, 1.0), (1.0, -2.0)])
+    def test_non_positive_semi_axis_rejected(self, axes):
+        ellipse = SimpleNamespace(semi_axis_x=axes[0], semi_axis_y=axes[1])
+        with pytest.raises(ValueError, match="semi-axes"):
+            SynthSpec(params=ModelParams(a=2.0, b=2.0), scale_radius=5.5, ellipse=ellipse)

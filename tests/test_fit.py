@@ -677,3 +677,26 @@ class TestAxialErrorGrid:
         mesh = synthetic(2.0, 2.0, n=41)
         with pytest.raises(ValueError, match="no overlap"):
             axial_error_grid(mesh, ModelParams(a=2.0, b=2.0), CIRCLE, 5.5, (100.0, 0.0))
+
+
+class TestInputGuards:
+    def test_negative_semi_axis_rejected(self):
+        with pytest.raises(ValueError, match="semi-axes"):
+            DomainEllipse.from_semi_axes(-1.0, 2.0)
+
+    def test_negative_point_count_rejected(self):
+        with pytest.raises(ValueError, match="n_points_used"):
+            FitResult(params=ModelParams(a=2.0, b=2.0), ellipse=CIRCLE,
+                      scale_radius=5.5, mean_abs_error_mm=0.0,
+                      mean_rel_error=0.0, axial_mean_abs_error_mm=0.0,
+                      axial_mean_rel_error=0.0, n_points_used=-1)
+
+    def test_level_fraction_checked_when_the_apex_is_measured(self):
+        with pytest.raises(ValueError, match="level_fraction"):
+            estimate_ellipse(synthetic(2.0, 2.0, n=41), level_fraction=1.5)
+
+    @pytest.mark.parametrize("radius", [1.0, 1.5, math.inf])
+    def test_apex_mask_radius_must_leave_points(self, radius):
+        with pytest.raises(ValueError, match="apex_mask_radius"):
+            FitOptions(apex_mask_radius=radius)
+        assert FitOptions(apex_mask_radius=0.999).apex_mask_radius == 0.999

@@ -312,3 +312,48 @@ class TestParams:
     def test_kernel_bounds_validation(self):
         with pytest.raises(ValueError):
             KernelBounds(q_bound=-1.0, r_bound=1.0, lipschitz_m=LIPSCHITZ_M, contraction=0.5)
+
+
+def counted_bessel(monkeypatch):
+    """Record (name, order, size) of every Bessel call the kernel makes."""
+    calls = []
+    for name in ("bessel_i", "bessel_k"):
+        original = getattr(kernel, name)
+
+        def counted(nu, z, _name=name, _original=original, **kwargs):
+            calls.append((_name, nu, int(np.size(z))))
+            return _original(nu, z, **kwargs)
+
+        monkeypatch.setattr(kernel, name, counted)
+    return calls
+
+
+class TestBesselRecord:
+    R = np.linspace(0.1, 1.0, 7)
+
+    def test_public_calls_evaluate_only_what_they_read(self, monkeypatch):
+        calls = counted_bessel(monkeypatch)
+        dv0(self.R, 2.0)
+        assert calls == [("bessel_i", 1, 7)]
+        calls.clear()
+        v1(self.R, 2.0)
+        assert sorted(calls) == [("bessel_i", 0, 1), ("bessel_i", 0, 7),
+                                 ("bessel_k", 0, 1), ("bessel_k", 0, 7)]
+        calls.clear()
+        theorem1_b_max(2.0)
+        assert sorted(calls) == [("bessel_i", 0, 1), ("bessel_i", 1, 1)]
+
+    def test_given_values_are_used_and_not_evaluated_again(self, monkeypatch):
+        sa = math.sqrt(2.0)
+        expected = (v1(self.R, 2.0), dv1(self.R, 2.0), admissibility(ModelParams(a=2.0, b=1.0)))
+        record = kernel._Bessel(sa, self.R, i0_r=bessel_i(0, sa * self.R),
+                                i1_r=bessel_i(1, sa * self.R), i0=bessel_i(0, sa),
+                                i1=bessel_i(1, sa), k0=kernel.bessel_k(0, sa))
+        calls = counted_bessel(monkeypatch)
+        got = (v1(self.R, 2.0, _bessel=record), dv1(self.R, 2.0, _bessel=record),
+               admissibility(ModelParams(a=2.0, b=1.0), _bessel=record))
+        # only the K arrays on r remain, and they reuse the given I arrays
+        assert sorted(calls) == [("bessel_k", 0, 7), ("bessel_k", 1, 7)]
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+        assert got[2] == expected[2]

@@ -249,3 +249,27 @@ class TestDomainErrors:
             bessel_i(0, np.array([1.0, np.nan]))
         with pytest.raises(ValueError):
             bessel_k(0, np.inf)
+
+
+class TestKDomainEdge:
+    # below the smallest normal double the K series overflows in 1/z and
+    # log(z/2); those calls used to return inf or nan with numpy warnings
+    @pytest.mark.parametrize("nu,z", [(0, 5e-324), (1, 5e-324), (1, 1e-310)])
+    def test_subnormal_argument_raises(self, nu, z):
+        with pytest.raises(ValueError, match=r"requires z >= 2\.2250738585072014e-308"):
+            bessel_k(nu, z)
+        with pytest.raises(ValueError):
+            bessel_k(nu, np.array([1.0, z]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_smallest_normal_double_is_finite(self):
+        tiny = np.finfo(float).tiny
+        k0, k1 = bessel_k(0, tiny), bessel_k(1, tiny)
+        # mpmath at 40 digits
+        assert k0 == pytest.approx(708.5123500479225186732, rel=1e-13)
+        assert k1 == pytest.approx(4.494232837155789769323e307, rel=1e-13)
+        np.testing.assert_array_equal(bessel_k(1, np.array([tiny, 1.0])), [k1, bessel_k(1, 1.0)])
+
+    def test_wronskian_defect_shares_the_edge(self):
+        with pytest.raises(ValueError):
+            wronskian_defect(1e-310)
