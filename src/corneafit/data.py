@@ -27,15 +27,21 @@ or bad value with its line and column. ``_number`` holds the number rule
 (``float`` with ``_`` refused), which fit reports follow too.
 
 The writer produces exactly the bytes of format(v, ".17g") per value,
-computed in numpy for a block of values at once. A finite x with
+computed in numpy for a block of whole rows, about 4096 values, at once.
+Each of a block's temporaries is 1-D, 32 KB as int64 or float64, and is
+dropped once dead; the 48-byte text cells are one array per table. A
+block makes a fixed number of numpy calls, so larger blocks cost less per
+value up to the point where glibc trims and re-faults the heap pages of a
+block's live set (see _TABLE_BLOCK_VALUES). A finite x with
 1e-280 <= |x| <= 1e280 gets E = floor(log10 |x|) and, in one scaling
 pass, y = |x| * 10^(16-E) as a double-double: Dekker's exact product of
 x with the nearest double of 10^k, plus x times the nearest double of
 the remainder 10^k minus that double. y is then within about 2^-46 of a
 unit of its exact value, so it rounds to the 17 digits of x, laid out
-by the %g rules. NaN is the constant ``nan``. Zeros, subnormals,
-infinities and magnitudes outside that range are written by format()
-one at a time, and so is every value the scaling pass cannot decide:
+by the %g rules. NaN is the constant ``nan``, spelt by a lead digit of
+10 that no other value reaches. Zeros, subnormals, infinities and
+magnitudes outside that range are written by format() one at a time,
+and so is every value the scaling pass cannot decide:
 y outside [1e16, 1e17) (log10 one decade off next to a power of ten),
 17 digits that round up to 10^17, or a fractional part of y within a
 margin of 1e-6 of one half.
@@ -205,7 +211,9 @@ def _read_ascii(path):
     try:
         return raw.decode("ascii")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        # lines break where str.splitlines breaks them, as in the readers;
+        # the byte sits on the last line of its prefix plus one character
+        line = len((raw[:exc.start].decode("ascii") + "?").splitlines())
         raise ParseError(f"non-ASCII byte 0x{raw[exc.start]:02x}", line=line) from None
 
 
@@ -306,16 +314,20 @@ def _write_csv(path, header, columns):
     _write_table(path, ",".join(header), np.column_stack(columns), ",")
 
 
-# 2048 values keep every per-block array (the 48-byte cells, the int64
-# quads) under 128 KB, below glibc's default mmap threshold
-_TABLE_BLOCK_VALUES = 2048
+# 4096 values: every per-block temporary is 1-D and 32 KB (int64 or
+# float64), under glibc's 128 KB mmap threshold, so it comes from the
+# heap. The cells array, 48 bytes a value (192 KB), is made once per
+# table; freeing it raises glibc's mmap threshold to its size and its trim
+# threshold to twice that, so the pages one block frees are reused by the
+# next rather than trimmed and faulted back in. At 8192 every temporary
+# doubles, and a solve or fit op faults 1.4 to 6 times as many pages.
+_TABLE_BLOCK_VALUES = 4096
 
 # a cell is six 8-byte words: the sign, "0.000"-prefix and lead digit;
 # the integer digits after the lead and the point; the fraction digits;
 # the exponent and the separator (bytes 5-7 of the last word)
 _CELL_BYTES = 48
 _CELL_TEXT = 45
-_NAN_CELL = np.frombuffer(b"nan".ljust(_CELL_TEXT, b"\0"), np.uint8)
 # inside these magnitudes every partial product of the double-double
 # stays a normal double; outside them format() writes the value
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
@@ -331,11 +343,12 @@ class _FormatTables(NamedTuple):
 
     power_hi: np.ndarray  # nearest double of 10^k, k = _POWER_MIN.._POWER_MAX
     power_lo: np.ndarray  # nearest double of 10^k - power_hi
-    quad_text: np.ndarray  # the 4 digit bytes of 0..9999, one uint32 each
-    quad_zeros: np.ndarray  # trailing zero digits of 0..9999, as 4 digits
+    quad_text: np.ndarray  # (2, 10000) uint64 words: 0..9999 as 4 digits at bytes 0-3 or 4-7
+    quad_end: np.ndarray  # (4, 10000): where 0..9999 as quad j of 16 digits ends, zeros cut
     first: np.ndarray  # (2, 17) words: the first m of 16 bytes set
     point_at: np.ndarray  # (2, 17) words: "." at byte m of 16 (none at 16)
     head: np.ndarray  # 12 words: sign ("" or "-") then "0.000"[:m], m < 6
+    lead: np.ndarray  # 11 words: digit d at byte 6 for d < 10, then "nan"
     exponent: np.ndarray  # words: "" then "e%+03d" for each exponent
 
 
@@ -367,16 +380,20 @@ def _format_tables():
             power_lo[index] = (den - num * 10**-k) / (den * 10**-k)
     place = np.array([1000, 100, 10, 1], np.uint16)
     quads = (np.arange(10000, dtype=np.uint16)[:, None] // place % 10 + 48).astype(np.uint8)
+    padded = np.zeros((2, 10000, 8), np.uint8)
+    padded[0, :, :4] = padded[1, :, 4:] = quads
+    zeros = np.cumprod(quads[:, ::-1] == 48, axis=1, dtype=np.uint8).sum(1, np.uint8)
     byte = np.arange(16)
     rows = np.arange(17)[:, None]
     return _FormatTables(
         power_hi,
         power_lo,
-        quad_text=quads.view(np.uint32).ravel(),
-        quad_zeros=np.cumprod(quads[:, ::-1] == 48, axis=1, dtype=np.uint8).sum(1, np.uint8),
+        quad_text=padded.view(np.uint64).reshape(2, 10000),
+        quad_end=np.where(zeros < 4, 4 * np.arange(1, 5)[:, None] - zeros, 0).astype(np.uint8),
         first=(np.uint8(255) * (byte < rows)).view(np.uint64).T.copy(),
         point_at=(np.uint8(46) * (byte == rows)).view(np.uint64).T.copy(),
         head=_bytes_words(sign + b"0.000"[:m] for sign in (b"", b"-") for m in range(6)),
+        lead=_bytes_words([b"\0" * 6 + b"%d" % d for d in range(10)] + [b"nan"]),
         exponent=_bytes_words(
             [b""] + [b"e%+03d" % e for e in range(_EXPONENT_MIN, _EXPONENT_MAX + 1)]
         ),
@@ -389,26 +406,39 @@ def _scaled(x, exponent, tables):
     power's remainder, renormalized so |lo| <= ulp(hi) / 2."""
     k = 16 - _POWER_MIN - exponent
     p_hi, p_lo = tables.power_hi[k], tables.power_lo[k]
+    del k
     p_hi_hi, p_hi_lo = _split(p_hi)
     x_hi, x_lo = _split(x)
     product = x * p_hi
-    error = ((x_hi * p_hi_hi - product) + x_hi * p_hi_lo + x_lo * p_hi_hi) + x_lo * p_hi_lo
-    low = error + x * p_lo
+    del p_hi
+    # Dekker's exact error of that product, then x times the remainder,
+    # summed in place in left-to-right order
+    low = x_hi * p_hi_hi
+    low -= product
+    low += x_hi * p_hi_lo
+    del x_hi
+    low += x_lo * p_hi_hi
+    low += x_lo * p_hi_lo
+    del x_lo, p_hi_hi, p_hi_lo
+    low += x * p_lo
     hi = product + low
-    return hi, low - (hi - product)
+    product -= hi
+    low += product
+    return hi, low
 
 
 def _format_block(values, ends, cells):
     """Fill cells, a (values.size, _CELL_BYTES) uint8 array, with the
     NUL-padded text of format(v, ".17g") for each value, each followed by
-    ends[column], the uint64 word that closes a cell of that column; the
-    values are whole rows of len(ends) columns."""
+    ends[index], the uint64 word that closes that value's cell. Every
+    temporary is 1-D and is dropped once dead."""
     tables = _format_tables()
     words = cells.view(np.uint64)
     magnitude = np.abs(values)
     with np.errstate(invalid="ignore"):
         fast = (magnitude >= _FAST_MIN) & (magnitude <= _FAST_MAX)
     x = np.where(fast, magnitude, 1.0)
+    del magnitude
 
     # the exponent E of the leading digit; log10 may land a unit off
     # next to a power of ten, and then y leaves [1e16, 1e17) (the clip
@@ -416,28 +446,39 @@ def _format_block(values, ends, cells):
     exponent = np.floor(np.log10(x)).astype(np.int64)
     np.clip(exponent, _EXPONENT_MIN, _EXPONENT_MAX, out=exponent)
     hi, lo = _scaled(x, exponent, tables)
+    del x
     # where y >= 2^53, hi is an integer and `whole` is floor(y); below
     # that it is less than y, so the value falls back
     floor_lo = np.floor(lo)
     remainder = lo - floor_lo
     whole = hi.astype(np.int64) + floor_lo.astype(np.int64)
+    del hi, lo, floor_lo
     digits = whole + (remainder > 0.5)
     fast &= (whole >= 10**16) & (digits < 10**17) & (np.abs(remainder - 0.5) > _TIE_MARGIN)
-    digits[~fast] = 10**16  # format() rewrites these; keep the lookups in range
+    del whole, remainder
+    # 10^17 is no fast value's digits: its lead, 10, spells nan, and
+    # format() rewrites the other values that get it
+    digits[~fast] = 10**17
 
-    # the lead digit, then the other 16 as four 4-digit quads
+    # the lead digit, then the other 16 as four 4-digit quads q0..q3,
+    # whose text lands in the two tail words of 8 digit bytes each
     lead = digits // 10**16
     rest = digits - lead * 10**16
+    del digits
     upper = rest // 10**8
     lower = rest - upper * 10**8
-    quads = np.empty((values.size, 4), np.int64)
-    quads[:, 0] = upper // 10**4
-    quads[:, 1] = upper - quads[:, 0] * 10**4
-    quads[:, 2] = lower // 10**4
-    quads[:, 3] = lower - quads[:, 2] * 10**4
-    tail = tables.quad_text[quads].view(np.uint64)  # (n, 2): 16 digit bytes
-    z0, z1, z2, z3 = (tables.quad_zeros[quads[:, j]] for j in range(4))
-    n_tail = 16 - (z3 + (z3 == 4) * (z2 + (z2 == 4) * (z1 + (z1 == 4) * z0)))
+    del rest
+    q0 = upper // 10**4
+    q1 = upper - q0 * 10**4
+    del upper
+    q2 = lower // 10**4
+    q3 = lower - q2 * 10**4
+    del lower
+    quad_text, quad_end = tables.quad_text, tables.quad_end
+    tail = (quad_text[0][q0] | quad_text[1][q1], quad_text[0][q2] | quad_text[1][q3])
+    n_tail = np.maximum(np.maximum(quad_end[0][q0], quad_end[1][q1]),
+                        np.maximum(quad_end[2][q2], quad_end[3][q3]))
+    del q0, q1, q2, q3
 
     # %g: fixed notation for -4 <= E < 17, else d.ddd with an exponent;
     # of the tail, `integer` digits precede the point and the fraction
@@ -447,20 +488,18 @@ def _format_block(values, ends, cells):
     integer = np.where(small | scientific, 0, exponent)
     kept = np.where(small, n_tail, integer)
     end = np.where(small, 0, np.maximum(n_tail, integer))
+    del n_tail
     point = np.where(end > integer, integer, 16)
-    words[:, 0] = tables.head[6 * (values < 0) + small * (1 - exponent)]
-    cells[:, 6] = lead + 48
+    words[:, 0] = tables.head[6 * (values < 0) + small * (1 - exponent)] | tables.lead[lead]
+    del small, lead
     for w in (0, 1):
         first = tables.first[w]
-        words[:, 1 + w] = tail[:, w] & first[kept] | tables.point_at[w][point]
-        words[:, 3 + w] = tail[:, w] & first[end] & ~first[integer]
-    words.reshape(-1, len(ends), 6)[:, :, 5] = ends | tables.exponent[
-        scientific * (exponent - _EXPONENT_MIN + 1)
-    ].reshape(-1, len(ends))
+        words[:, 1 + w] = tail[w] & first[kept] | tables.point_at[w][point]
+        words[:, 3 + w] = tail[w] & first[end] & ~first[integer]
+    del tail, kept, end, point, integer
+    words[:, 5] = ends | tables.exponent[scientific * (exponent - _EXPONENT_MIN + 1)]
 
-    nan = np.isnan(values)
-    cells[nan, :_CELL_TEXT] = _NAN_CELL
-    for index in np.flatnonzero(~fast & ~nan):
+    for index in np.flatnonzero(~fast & ~np.isnan(values)):
         text = format(float(values[index]), ".17g").encode("ascii")
         cells[index, :_CELL_TEXT] = np.frombuffer(text.ljust(_CELL_TEXT, b"\0"), np.uint8)
 
@@ -474,15 +513,17 @@ def _write_table(path, header, table, sep):
     at a time, never the whole table at once; the module docstring
     describes how, and which values go through format() one by one."""
     n_rows, n_cols = table.shape
-    step = max(1, _TABLE_BLOCK_VALUES // n_cols)
-    ends = np.zeros((n_cols, 8), np.uint8)
-    ends[:, 5] = ord(sep)
-    ends[-1, 5] = ord("\n")
+    step = min(max(1, _TABLE_BLOCK_VALUES // n_cols), n_rows)
+    # the word that closes each cell of a block: sep, or a line break at
+    # the end of a row
+    ends = np.zeros((step, n_cols, 8), np.uint8)
+    ends[:, :, 5] = ord(sep)
+    ends[:, -1, 5] = ord("\n")
     ends = ends.view(np.uint64).ravel()
-    cells = np.empty((min(step, n_rows) * n_cols, _CELL_BYTES), np.uint8)
+    cells = np.empty((step * n_cols, _CELL_BYTES), np.uint8)
     with open(path, "wb") as handle:
         handle.write(header.encode("ascii") + b"\n")
         for start in range(0, n_rows, step):
             block = np.ascontiguousarray(table[start:start + step], dtype=np.float64).ravel()
-            _format_block(block, ends, cells[:block.size])
+            _format_block(block, ends[:block.size], cells[:block.size])
             handle.write(cells[:block.size].tobytes().translate(None, b"\0"))

@@ -318,6 +318,19 @@ class TestBadInputFiles:
         assert code == 1
         assert stderr.startswith("error:")
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_non_ascii_fit_report_names_its_line(self, capsys, tmp_path, end):
+        # the report's lines break where str.splitlines breaks them, and
+        # the error names the line of the byte by the same rule
+        mesh_path, fit_path = fit_report(capsys, tmp_path)
+        lines = fit_path.read_text().splitlines()
+        lines.insert(2, "note = caf\xff")
+        fit_path.write_bytes(end.join(lines).encode("latin-1") + end.encode("ascii"))
+        code, _, stderr = run(capsys, "axial", "--mesh", str(mesh_path),
+                              "--fit", str(fit_path))
+        assert code == 1
+        assert stderr == "error: non-ASCII byte 0xff (line 3)\n"
+
     @pytest.mark.parametrize("mesh_name,out_name", [
         ("edge/h\u00f6he.txt", "fit.txt"), ("mesh.txt", "bericht-\u00fc.txt"),
     ])

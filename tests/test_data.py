@@ -241,12 +241,43 @@ class TestMeshWriter:
         np.testing.assert_array_equal(back.z, z)
         assert np.array_equal(np.signbit(back.z), np.signbit(z))
 
+    def test_rows_wider_than_a_block(self, tmp_path):
+        # a row of more values than a block holds is a block on its own
+        n_x = data._TABLE_BLOCK_VALUES + 3
+        z = np.random.default_rng(3).standard_normal((3, n_x)) * 1e3
+        special = [-0.0, 5e-324, -2.5e-320, np.inf, -np.inf, np.nan, 1e300, -1e300]
+        z[:, :len(special)] = special
+        z[:, -len(special):] = special[::-1]
+        mesh = SurfaceMesh(n_x=n_x, n_y=3, spacing_x=0.1, spacing_y=0.2,
+                           origin_x=-0.0, origin_y=1.5, z=z)
+        path = tmp_path / "mesh.txt"
+        write_mesh(mesh, path)
+        lines = path.read_text().split("\n")
+        assert lines[1:] == [" ".join(format(v, ".17g") for v in row) for row in z] + [""]
+        back = read_mesh(path)
+        np.testing.assert_array_equal(back.z, z)
+        assert np.array_equal(np.signbit(back.z), np.signbit(z))
+
     def test_non_ascii_byte_is_a_parse_error_naming_its_line(self, tmp_path):
         path = tmp_path / "mesh.txt"
         path.write_bytes(b"2 2 1.0 1.0 0.0 0.0\n1.0 2.0\n3.0 4\xc3\xa9\n")
         with pytest.raises(ParseError) as excinfo:
             read_mesh(path)
         assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_non_ascii_byte_names_the_line_str_splitlines_gives(self, tmp_path, end):
+        # the line a bad ASCII token at the same place is reported on
+        lines = ["3 2 1.0 1.0 0.0 0.0", "1.0 2.0", "3.0 4.0", "5.0 {}"]
+        path = tmp_path / "mesh.txt"
+        path.write_bytes(end.join(lines).format("x").encode("ascii") + end.encode("ascii"))
+        with pytest.raises(ParseError) as excinfo:
+            read_mesh(path)
+        assert (excinfo.value.line, excinfo.value.column) == (4, 2)
+        path.write_bytes(end.join(lines).format("\xff").encode("latin-1") + end.encode("ascii"))
+        with pytest.raises(ParseError) as excinfo:
+            read_mesh(path)
+        assert str(excinfo.value) == "non-ASCII byte 0xff (line 4)"
 
 
 def read_text(directory, text):
@@ -527,6 +558,29 @@ class TestTableWriterText:
     def test_any_bit_pattern(self, tmp_path_factory, bits):
         values = np.array(bits, dtype=np.uint64).view(np.float64)
         assert format_mismatches(tmp_path_factory.mktemp("bits"), values) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rows_ending_at_a_block_edge(self, tmp_path_factory, draw):
+        # tables whose last row ends one row before, on or one row after
+        # the edge of a block, for rows narrower and wider than a block
+        size = data._TABLE_BLOCK_VALUES
+        n_cols = draw.draw(st.one_of(
+            st.integers(1, 12),
+            st.sampled_from([size // 3, size // 2 - 1, size // 2, size // 2 + 1,
+                             size - 1, size, size + 1])))
+        step = max(1, size // n_cols)
+        blocks, offset = draw.draw(st.integers(1, 3)), draw.draw(st.sampled_from([-1, 0, 1]))
+        n_rows = max(1, blocks * step + offset)
+        rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
+        shape = (n_rows, n_cols)
+        table = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, shape)
+        wild = rng.random(shape) < 0.1  # any bit pattern: subnormals, inf, nan, 1e300
+        table[wild] = rng.integers(0, 2**64, wild.sum(), dtype=np.uint64).view(np.float64)
+        path = tmp_path_factory.mktemp("edge") / "table.csv"
+        data._write_table(path, "h", table, ",")
+        rows = [",".join(format(v, ".17g") for v in row) for row in table.tolist()]
+        assert path.read_text().split("\n") == ["h"] + rows + [""]
 
     def test_powers_of_ten_and_their_neighbours(self, tmp_path):
         values = [v for j in range(-300, 301) for v in neighbours(float(f"1e{j}"), 1)]
