@@ -258,7 +258,9 @@ def cmd_axial(mesh_path, fit_path=None, out_path=None,
     Without fit_path the surface axis is the mesh's coordinate origin
     and only the mesh-route field is written; with it, axial_error_grid
     re-centers on the fitted apex and its |d_mesh - d_model| grid
-    accompanies the field.
+    accompanies the field. Its axial_mean_abs_error_mm averages every
+    point where both maps are defined, the apex disk included, so it is
+    not fit's value of that name, which leaves out rel <= apex_mask_radius.
     """
     start = time.perf_counter()
     mesh = read_mesh(mesh_path)

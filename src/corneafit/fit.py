@@ -454,7 +454,11 @@ def fit_mesh(mesh, options=None):
     )
     common = ~np.isnan(axial_errors) & (rel > options.apex_mask_radius)
     if not np.any(common):
-        raise ValueError("no overlap between mesh and model axial-distance maps")
+        # axial_error_grid found points with both maps, all inside the disk
+        raise ValueError(
+            f"apex_mask_radius = {options.apex_mask_radius!r} masks every point "
+            "where both axial-distance maps are defined"
+        )
     axial_diff = axial_errors[common]
     axial_mean_abs = float(axial_diff.mean())
     axial_mean_rel = float((axial_diff / d_mesh[common]).mean())
@@ -495,11 +499,10 @@ def axial_error_grid(mesh, params, ellipse, scale_radius, apex,
         ellipse,
         gradient_floor=gradient_floor,
     )
-    both = np.isfinite(d_mesh) & np.isfinite(d_model)
-    if not np.any(both):
+    # each map is NaN exactly where it is undefined, so the difference is too
+    errors = np.abs(d_mesh - d_model)
+    if np.isnan(errors).all():
         raise ValueError("no overlap between mesh and model axial-distance maps")
-    errors = np.full(d_mesh.shape, np.nan)
-    errors[both] = np.abs(d_mesh[both] - d_model[both])
     return d_mesh, errors
 
 

@@ -31,6 +31,13 @@ LIPSCHITZ_M = 2.0 / (3.0 * math.sqrt(3.0))
 # I1(sqrt(a)) (2 I0(sqrt(a)) - 1) overflows and theorem1_b_max reads 0;
 # past a ~ 5.04e5 I0(sqrt(a)) itself overflows and both bounds read NaN.
 _BOUNDS_A_MAX = 1.25e5
+# Smallest a they accept: lemma_b_max ~ 8/a overflows below about 4.45e-308.
+_BOUNDS_A_MIN = 4.5e-308
+# Below this a, I0(sqrt(a)) - I0(sqrt(a) r) comes from its series
+# (_i0_rise_over_a): the difference of two I0 values near 1 has a size
+# of about a/4 but a rounding error of about 2e-16, and is 0 below
+# a ~ 4.4e-16.
+_SERIES_A_MAX = 1e-6
 
 
 @dataclass(frozen=True)
@@ -132,6 +139,10 @@ def _check_bounds_a(a):
         raise ValueError(
             f"the admissibility bounds need a <= {_BOUNDS_A_MAX:g}, got {float(arr.max())!r}"
         )
+    if not np.all(arr >= _BOUNDS_A_MIN):
+        raise ValueError(
+            f"the admissibility bounds need a >= {_BOUNDS_A_MIN:g}, got {float(arr.min())!r}"
+        )
     return arr
 
 
@@ -139,6 +150,25 @@ def _check_a(a):
     if np.ndim(a) != 0:
         raise ValueError(f"a must be a positive finite scalar, got {a!r}")
     return float(_check_a_values(a))
+
+
+def _i0_rise_over_a(a, r):
+    """(I0(sqrt(a)) - I0(sqrt(a) r)) / a for a < _SERIES_A_MAX, by its series
+
+    sum_{k>=1} a^(k-1) (1 - r^(2k)) / (4^k (k!)^2),
+
+    whose fifth term is below rounding there. 1 - r^(2k) is taken as
+    (1 - r)(1 + r)(1 + r^2 + ... + r^(2k-2)), exact where r is near 1.
+    """
+    r_sq = r * r
+    power = partial = 1.0  # r^(2k-2) and 1 + r^2 + ... + r^(2k-2)
+    coef = total = 0.25  # a^(k-1) / (4^k (k!)^2) and the sum, at k = 1
+    for k in range(2, 5):
+        power = power * r_sq
+        partial = partial + power
+        coef = coef * a / (4 * k * k)
+        total = total + coef * partial
+    return (1.0 - r) * (1.0 + r) * total
 
 
 def _scalar_like(out, r):
@@ -218,13 +248,17 @@ def bound_constants(params):
 
     Q = (b/a)(1 - 1/I0(sqrt(a)));
     R = (b/sqrt(a)) (I1(sqrt(a))/I0(sqrt(a))) (2 I0(sqrt(a)) - 1).
-    Both are linear in b.
+    Both are linear in b. Below a = 1e-6, Q is b ((I0(sqrt(a)) - 1)/a)
+    / I0(sqrt(a)) with the ratio from its series.
     """
     a, b = params.a, params.b
     sa = math.sqrt(a)
     i0 = bessel_i(0, sa)
     i1 = bessel_i(1, sa)
-    q = (b / a) * (1.0 - 1.0 / i0)
+    if a < _SERIES_A_MAX:
+        q = b * _i0_rise_over_a(a, 0.0) / i0
+    else:
+        q = (b / a) * (1.0 - 1.0 / i0)
     r = (b / sa) * (i1 / i0) * (2.0 * i0 - 1.0)
     return KernelBounds(q_bound=q, r_bound=r, lipschitz_m=LIPSCHITZ_M, contraction=LIPSCHITZ_M * r)
 
@@ -236,7 +270,8 @@ def theorem1_b_max(a, *, _bessel=None):
     equivalently the b at which bound_constants(...).contraction = 1.
     The existence guarantee requires b strictly below this value. a may
     be an array; a scalar a gives a float. An a above 1.25e5 raises
-    ValueError before any Bessel call: the formula overflows there.
+    ValueError before any Bessel call: the formula overflows there. So
+    does an a below 4.5e-308, where lemma_b_max overflows.
     _bessel is private to the solver plan: a _Bessel record at sqrt(a).
     """
     sa = np.sqrt(_check_bounds_a(a))
@@ -248,13 +283,18 @@ def lemma_b_max(a, *, _bessel=None):
     """Largest pressure for which the envelope estimates are certified.
 
     (sqrt(a)/I1(sqrt(a))) * sqrt(2 I0(sqrt(a)) - 1) / (I0(sqrt(a)) - 1);
-    diverges as a -> 0+ (the denominator vanishes). Non-strict bound. a
-    may be an array; a scalar a gives a float. a and _bessel as in
+    diverges like 8/a as a -> 0+ (the denominator vanishes), so below
+    a = 1e-6 the denominator comes from its series, and an a below
+    4.5e-308, where 8/a overflows, raises ValueError. Non-strict bound.
+    a may be an array; a scalar a gives a float. a and _bessel as in
     theorem1_b_max.
     """
-    sa = np.sqrt(_check_bounds_a(a))
+    arr = _check_bounds_a(a)
+    sa = np.sqrt(arr)
     bv = _bessel or _Bessel(sa)
-    return _scalar_like((sa / bv.i1) * np.sqrt(2.0 * bv.i0 - 1.0) / (bv.i0 - 1.0), a)
+    # selected per element before the one division
+    rise = np.where(arr < _SERIES_A_MAX, arr * _i0_rise_over_a(arr, 0.0), bv.i0 - 1.0)
+    return _scalar_like((sa / bv.i1) * np.sqrt(2.0 * bv.i0 - 1.0) / rise, a)
 
 
 def admissibility(params, *, _bessel=None):

@@ -14,7 +14,9 @@ The iteration starts from the closed-form linearization
 
     h0(r) = (b/a) (1 - I0(sqrt(a) r) / I0(sqrt(a))),
 
-which is exactly the fixed-point operator applied to P == 1.
+which is exactly the fixed-point operator applied to P == 1. Below
+a = 1e-6 the difference of the two I0 values is summed from its series
+instead, since rounding leaves it no digits as a -> 0.
 
 Quadrature note: the integrand t v1(t) behaves like t log t near the
 origin, which costs composite trapezoid an O(delta^2 log delta) defect
@@ -59,8 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolation, HypothesisViolation, NoConvergence
-from .kernel import (AdmissibilityReport, ModelParams, _Bessel, _check_bounds_a,
-                     admissibility, dv0, dv1, v0, v1)
+from .kernel import (_SERIES_A_MAX, AdmissibilityReport, ModelParams, _Bessel,
+                     _check_bounds_a, _i0_rise_over_a, admissibility, dv0, dv1, v0, v1)
 from .special import bessel_i, bessel_k
 
 
@@ -140,9 +142,14 @@ class SolveReport:
 
 def _h0_values(params, r, bessel=None):
     # h0(r) = (b/a)(1 - I0(sqrt(a) r)/I0(sqrt(a))); bessel is a _Bessel
-    # record on r when the caller already holds one
-    bv = bessel or _Bessel(math.sqrt(params.a), r)
-    return (params.b / params.a) * (1.0 - bv.i0_r / bv.i0)
+    # record on r when the caller already holds one. Below a = 1e-6 the
+    # difference loses its digits, so h0 = b ((I0(sqrt(a)) -
+    # I0(sqrt(a) r))/a) / I0(sqrt(a)) with that ratio from its series.
+    a = params.a
+    if a < _SERIES_A_MAX:
+        return params.b * _i0_rise_over_a(a, r) / (bessel or _Bessel(math.sqrt(a))).i0
+    bv = bessel or _Bessel(math.sqrt(a), r)
+    return (params.b / a) * (1.0 - bv.i0_r / bv.i0)
 
 
 def _dh0_values(params, r, bessel=None):

@@ -77,36 +77,27 @@ def _i_series(nu, z):
 
 
 def _k_series(nu, z, i_z):
-    # i_z is I_nu(z) on the same elements
+    # i_z is I_nu(z) on the same elements. With H_k the harmonic numbers,
+    # total = sum_{k>=0} (H_k + nu H_{k+nu} - 2 nu gamma) q^k / (k! (k+nu)!)
+    # (DLMF 10.31.1-2), so K0 = -(ln(z/2) + gamma) I0 + total and
+    # K1 = 1/z + ln(z/2) I1 - (z/4) total. For k >= 1 every contrib is
+    # nonnegative, so the stop test needs no abs on it; its absolute
+    # cutoff is safe because K0 >= K0(3) ~ 0.035 on this branch.
     q = 0.25 * z * z
+    term = np.ones_like(z)
+    harmonic_k, harmonic_kn = 0.0, float(nu)  # H_0 and H_nu
+    total = (harmonic_k + nu * harmonic_kn - 2.0 * nu * EULER_GAMMA) * term
+    for k in range(1, 200):
+        term = term * q / (k * (k + nu))
+        harmonic_k += 1.0 / k
+        harmonic_kn += 1.0 / (k + nu)
+        contrib = term * (harmonic_k + nu * harmonic_kn - 2.0 * nu * EULER_GAMMA)
+        total = total + contrib
+        if (contrib <= 1e-18 + 1e-17 * np.abs(total)).all():
+            break
     log_half_z = np.log(0.5 * z)
     if nu == 0:
-        # K0 = -(ln(z/2) + gamma) I0 + sum_{k>=1} q^k/(k!)^2 H_k
-        term = np.ones_like(z)
-        total = np.zeros_like(z)
-        harmonic = 0.0
-        for k in range(1, 200):
-            term = term * q / (k * k)
-            harmonic += 1.0 / k
-            contrib = term * harmonic
-            total = total + contrib
-            # absolute cutoff: K0 >= K0(3) ~ 0.035 on this branch
-            if (contrib <= 1e-18 + 1e-17 * total).all():
-                break
         return -(log_half_z + EULER_GAMMA) * i_z + total
-    # K1 = 1/z + ln(z/2) I1 - (z/4) sum_{k>=0} (H_k + H_{k+1} - 2 gamma) q^k/(k!(k+1)!)
-    term = np.ones_like(z)
-    harmonic_k = 0.0
-    harmonic_k1 = 1.0
-    total = (harmonic_k + harmonic_k1 - 2.0 * EULER_GAMMA) * term
-    for k in range(1, 200):
-        term = term * q / (k * (k + 1))
-        harmonic_k += 1.0 / k
-        harmonic_k1 += 1.0 / (k + 1)
-        contrib = term * (harmonic_k + harmonic_k1 - 2.0 * EULER_GAMMA)
-        total = total + contrib
-        if (np.abs(contrib) <= 1e-18 + 1e-17 * np.abs(total)).all():
-            break
     return 1.0 / z + log_half_z * i_z - 0.25 * z * total
 
 

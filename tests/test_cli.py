@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import corneafit
-from corneafit import __version__, cli, data, fit
+from corneafit import __version__, cli, data, fit, solver
 from corneafit.cli import _write_csv, main
 from corneafit.data import SurfaceMesh, SynthSpec, write_mesh
 from corneafit.kernel import ModelParams
@@ -189,6 +189,35 @@ class TestBoundsCommand:
         assert stderr == ("error: the admissibility bounds need a <= 125000, "
                           f"got {float(a_max)!r}\n")
         assert not out.exists()
+
+
+    def test_tiny_a_gives_finite_bounds_without_warnings(self, capsys, tmp_path):
+        # lemma_b_max read inf here, after a divide-by-zero warning
+        out = tmp_path / "bounds.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, _ = run(capsys, "bounds", "--a-min", "1e-300", "--a-max", "1e-299",
+                                  "--out", str(out))
+        assert code == 0
+        report = parse_report(stdout)
+        assert float(report["lemma_b_max_min_nondim"]) == pytest.approx(8e299, rel=1e-12)
+        _, rows = read_csv(out)
+        assert np.all(np.isfinite(rows))
+
+    def test_a_below_the_smallest_exits_2(self, capsys):
+        code, stdout, stderr = run(capsys, "bounds", "--a-min", "1e-308", "--a-max", "1")
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: the admissibility bounds need a >= 4.5e-308, got 1e-308\n"
+
+    def test_solve_at_tiny_a_matches_the_oracle(self, capsys):
+        # h(0) read -0.0069 here, against the oracle's 0.2431
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, _ = run(capsys, "solve", "--a", "1e-20", "--b", "1")
+        assert code == 0
+        oracle = solver.fd_oracle(ModelParams(a=1e-20, b=1.0), solver.RadialGrid.uniform(401))
+        assert abs(float(parse_report(stdout)["max_elevation_nondim"]) - oracle.h[0]) <= 1e-8
 
 
 class TestPipeline:
@@ -917,6 +946,21 @@ class TestInputGuards:
         assert stderr.startswith("error:") and "apex_mask_radius" in stderr
         assert "no overlap" not in stderr
         assert not out.exists()
+
+    def test_apex_mask_that_covers_the_shared_points_exits_2_naming_it(self, capsys, tmp_path):
+        # on the paper's mesh the axial maps overlap, but only inside
+        # rel <= 0.99; the fit used to blame a missing overlap of the maps
+        mesh_path = tmp_path / "mesh.txt"
+        run(capsys, "synth", "--a", "1.94398", "--b", "2.27534", "--ecc2", "0.0234",
+            "--noise-sigma", "0.01", "--seed", "3", "--out", str(mesh_path))
+        code, _, _ = run(capsys, "fit", "--mesh", str(mesh_path), "--apex-mask-radius", "0.98")
+        assert code == 0
+        code, stdout, stderr = run(capsys, "fit", "--mesh", str(mesh_path),
+                                   "--apex-mask-radius", "0.99")
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: apex_mask_radius = 0.99 ")
+        assert "no overlap" not in stderr
 
     def test_bounds_with_one_sample_exits_2(self, capsys, tmp_path):
         out = tmp_path / "bounds.csv"

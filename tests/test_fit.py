@@ -684,6 +684,11 @@ class TestInputGuards:
         with pytest.raises(ValueError, match="semi-axes"):
             DomainEllipse.from_semi_axes(-1.0, 2.0)
 
+    @pytest.mark.parametrize("axes", [(-1.0, -1.0), (0.0, 1.0)])
+    def test_constructor_rejects_non_positive_semi_axes(self, axes):
+        with pytest.raises(ValueError, match="semi-axes must be positive"):
+            DomainEllipse(semi_axis_x=axes[0], semi_axis_y=axes[1], signed_ecc_sq=0.0)
+
     def test_negative_point_count_rejected(self):
         with pytest.raises(ValueError, match="n_points_used"):
             FitResult(params=ModelParams(a=2.0, b=2.0), ellipse=CIRCLE,

@@ -214,6 +214,42 @@ class TestBounds:
             bound(a)
 
 
+class TestSmallA:
+    # below a = 1e-6 the bounds take I0(sqrt(a)) - 1 from its series; the
+    # difference rounded to 0 below a ~ 4.4e-16, where lemma_b_max
+    # divided by zero and read inf
+    @pytest.mark.filterwarnings("error")
+    def test_lemma_bound_is_about_8_over_a(self):
+        a = np.geomspace(4.5e-308, 1e-7, 400)
+        values = lemma_b_max(a)
+        assert np.all(np.isfinite(values))
+        # (8/a)(1 + a/16 + O(a^2))
+        np.testing.assert_allclose(a * values, 8.0, rtol=1e-8)
+        assert np.all(np.isfinite(theorem1_b_max(a)))
+
+    def test_series_meets_the_closed_form_at_the_switch(self):
+        below = math.nextafter(1e-6, 0.0)
+        assert lemma_b_max(below) == pytest.approx(lemma_b_max(1e-6), rel=1e-9)
+        low = bound_constants(ModelParams(a=below, b=1.0)).q_bound
+        assert low == pytest.approx(bound_constants(ModelParams(a=1e-6, b=1.0)).q_bound, rel=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_q_bound_tends_to_b_over_4(self):
+        for a in (1e-12, 1e-300):
+            assert bound_constants(ModelParams(a=a, b=2.0)).q_bound == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("bound", [theorem1_b_max, lemma_b_max])
+    @pytest.mark.parametrize("a", [4.4e-308, 1e-310, np.array([2.0, 1e-320])])
+    def test_a_below_the_smallest_raises_before_any_bessel_call(self, monkeypatch, bound, a):
+        # 8/a overflows there
+        def no_bessel(*args, **kwargs):
+            raise AssertionError("Bessel function called")
+
+        monkeypatch.setattr(kernel, "bessel_i", no_bessel)
+        with pytest.raises(ValueError, match=r"need a >= 4\.5e-308, got "):
+            bound(a)
+
+
 def scalar_theorem1_b_max(a):
     # theorem1_b_max as written before it accepted arrays
     sa = math.sqrt(a)

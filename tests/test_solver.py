@@ -112,6 +112,38 @@ class TestLinearizedProfile:
         assert np.all(profile.h == 0.0) and np.all(profile.dh == 0.0)
 
 
+class TestSmallStiffness:
+    # below a = 1e-6, h0 sums (I0(sqrt(a)) - I0(sqrt(a) r))/a by its
+    # series; the difference of the two I0 values kept no digit as a -> 0
+    # and solve returned h(0) = -0.0069 at a = 1e-20
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [1e-8, 1e-12, 1e-20, 1e-300])
+    def test_picard_matches_fd_oracle(self, a):
+        params = ModelParams(a=a, b=1.0)
+        grid = RadialGrid.uniform(401)
+        report = solve(params, grid)
+        newton = fd_oracle(params, grid)
+        assert np.max(np.abs(report.profile.h - newton.h)) <= 1e-8
+        assert report.residual_sup <= 1e-7
+        assert report.envelope_ok
+
+    @pytest.mark.parametrize("a", [1e-20, 1e-300])
+    def test_h0_tends_to_the_unloaded_parabola(self, a):
+        # h0 -> b (1 - r^2)/4 as a -> 0
+        grid = RadialGrid.uniform(101)
+        r = grid.nodes
+        profile = h0_profile(ModelParams(a=a, b=3.0), grid)
+        np.testing.assert_allclose(profile.h, 3.0 * (1.0 - r) * (1.0 + r) / 4.0, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(profile.dh, -3.0 * r / 2.0, rtol=1e-15, atol=0.0)
+
+    def test_series_meets_the_closed_form_at_the_switch(self):
+        # the closed form's own rounding, about 2e-16 / a, bounds the gap
+        grid = RadialGrid.uniform(101)
+        below = h0_profile(ModelParams(a=math.nextafter(1e-6, 0.0), b=1.0), grid).h
+        above = h0_profile(ModelParams(a=1e-6, b=1.0), grid).h
+        np.testing.assert_allclose(below, above, rtol=0.0, atol=1e-9)
+
+
 class TestPicardStep:
     def test_zero_slope_input_reproduces_h0_exactly(self):
         # P(0) = 1 turns the fixed-point operator into the closed form;

@@ -110,6 +110,61 @@ class TestWholeContractRange:
                 np.testing.assert_array_equal(array.view(np.int64), scalars.view(np.int64))
 
 
+def per_order_k_series(nu, z):
+    """K_nu(z) for z <= 3 by the small-argument series with one loop per
+    order, as bessel_k summed it before its loop became generic in nu."""
+    i_z = bessel_i(nu, z)
+    q = 0.25 * z * z
+    log_half_z = np.log(0.5 * z)
+    if nu == 0:
+        term = np.ones_like(z)
+        total = np.zeros_like(z)
+        harmonic = 0.0
+        for k in range(1, 200):
+            term = term * q / (k * k)
+            harmonic += 1.0 / k
+            contrib = term * harmonic
+            total = total + contrib
+            if (contrib <= 1e-18 + 1e-17 * total).all():
+                break
+        return -(log_half_z + EULER_GAMMA) * i_z + total
+    term = np.ones_like(z)
+    harmonic_k = 0.0
+    harmonic_k1 = 1.0
+    total = (harmonic_k + harmonic_k1 - 2.0 * EULER_GAMMA) * term
+    for k in range(1, 200):
+        term = term * q / (k * (k + 1))
+        harmonic_k += 1.0 / k
+        harmonic_k1 += 1.0 / (k + 1)
+        contrib = term * (harmonic_k + harmonic_k1 - 2.0 * EULER_GAMMA)
+        total = total + contrib
+        if (np.abs(contrib) <= 1e-18 + 1e-17 * np.abs(total)).all():
+            break
+    return 1.0 / z + log_half_z * i_z - 0.25 * z * total
+
+
+class TestKSeriesBits:
+    # the generic-order loop must keep the per-order loops' bits, from the
+    # smallest normal double to the series' upper end
+    @given(st.lists(st.floats(min_value=2.2250738585072014e-308, max_value=3.0),
+                    min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_series_keeps_the_per_order_bits(self, values):
+        z = np.array(values)
+        for nu in (0, 1):
+            expected = per_order_k_series(nu, z).view(np.int64)
+            np.testing.assert_array_equal(bessel_k(nu, z).view(np.int64), expected)
+            scalars = np.array([bessel_k(nu, t) for t in values])
+            singles = np.concatenate([per_order_k_series(nu, np.array([t])) for t in values])
+            np.testing.assert_array_equal(scalars.view(np.int64), singles.view(np.int64))
+
+    def test_dense_sweep_keeps_the_per_order_bits(self):
+        z = np.geomspace(np.finfo(float).tiny, 3.0, 20000)
+        for nu in (0, 1):
+            np.testing.assert_array_equal(bessel_k(nu, z).view(np.int64),
+                                          per_order_k_series(nu, z).view(np.int64))
+
+
 class TestFrozenValues:
     # mpmath, 40 significant digits
     CASES_I = [
