@@ -1,11 +1,12 @@
 """Command line front end.
 
-Subcommands: solve, bounds, synth, fit, axial. Each prints a report of
-`key = value` lines to stdout and optionally writes CSV or mesh
-artifacts for plotting. Numeric report keys carry a unit suffix (_mm or
-_nondim); counts, flags, paths and timing_ms are exempt. Floats are
-written with 17 significant digits so reports can be parsed back
-losslessly (the axial command reads the fit command's report).
+Subcommands: solve, bounds, synth, fit, axial. Each prints a report, one
+ordered mapping written as `key = value` lines (command, version, the
+command's entries in the order it adds them, timing_ms), to stdout and
+optionally writes CSV or mesh artifacts for plotting. Numeric report keys
+carry a unit suffix (_mm or _nondim); counts, flags, paths and timing_ms
+are exempt. Floats are written with 17 significant digits so reports can
+be parsed back losslessly (the axial command reads the fit's report).
 
 Every command returns through _finish, so a command that exits non-zero
 leaves none of the files it opened or finished: the fit report is opened
@@ -57,16 +58,15 @@ from .solver import RadialGrid, solve
 
 @dataclass(frozen=True)
 class RunReport:
+    """One command's report; render writes entries in insertion order."""
+
     command: str
-    inputs: dict
-    outputs: dict
+    entries: dict
     timing_ms: float
 
     def render(self):
         lines = [f"command = {self.command}", f"version = {__version__}"]
-        for key, value in self.inputs.items():
-            lines.append(f"{key} = {_format_value(value)}")
-        for key, value in self.outputs.items():
+        for key, value in self.entries.items():
             lines.append(f"{key} = {_format_value(value)}")
         lines.append(f"timing_ms = {_format_value(self.timing_ms)}")
         return "\n".join(lines) + "\n"
@@ -82,11 +82,11 @@ def _format_value(value):
     return str(value)
 
 
-def _finish(command, start, inputs, outputs, writes, report_path=None):
-    """The command's RunReport, its files written all-or-nothing (see the
-    module docstring): report_path, when given, is opened first; each
-    (path, write) pair in writes is then called as write(path), in order;
-    the report, timed up to here, is rendered into report_path last."""
+def _finish(command, start, entries, writes, report_path=None):
+    """The RunReport of the ordered mapping entries. Its files are written
+    all-or-nothing (see the module docstring): report_path, if any, opens
+    first, then write(path) runs for each (path, write) pair in writes, in
+    order, and the report, timed up to here, goes into report_path last."""
     handle = None if report_path is None else open(report_path, "w", encoding="ascii")
     done = [] if handle is None else [report_path]
     try:
@@ -94,7 +94,7 @@ def _finish(command, start, inputs, outputs, writes, report_path=None):
             for path, write in writes:
                 write(path)
                 done.append(path)
-            report = RunReport(command, inputs, outputs, 1e3 * (time.perf_counter() - start))
+            report = RunReport(command, entries, 1e3 * (time.perf_counter() - start))
             if handle is not None:
                 handle.write(report.render())
     except BaseException:
@@ -114,14 +114,12 @@ def cmd_solve(a, b, n_nodes=401, tol=1e-10, out_path=None, enforce_bound=False):
     params = ModelParams(a=a, b=b)
     grid = RadialGrid.uniform(n_nodes)
     report = solve(params, grid, tol=tol, enforce_bound=enforce_bound)
-    inputs = {
+    entries = {
         "a_nondim": float(a),
         "b_nondim": float(b),
         "n_nodes": int(n_nodes),
         "tol_nondim": float(tol),
         "enforce_bound": bool(enforce_bound),
-    }
-    outputs = {
         "iterations": report.iterations,
         "final_sup_diff_nondim": report.final_sup_diff,
         "residual_sup_nondim": report.residual_sup,
@@ -131,12 +129,12 @@ def cmd_solve(a, b, n_nodes=401, tol=1e-10, out_path=None, enforce_bound=False):
     }
     writes = []
     if out_path is not None:
-        outputs["profile_csv"] = out_path
+        entries["profile_csv"] = out_path
         columns = [grid.nodes, report.profile.h, report.profile.dh, report.h0.h,
                    report.envelope_constant_A * report.h1.h]
         writes.append((out_path, functools.partial(
             _write_csv, header=["r", "h", "dh", "h0", "A_h1"], columns=columns)))
-    return _finish("solve", start, inputs, outputs, writes)
+    return _finish("solve", start, entries, writes)
 
 
 def cmd_bounds(a_min, a_max, n_samples=200, out_path=None):
@@ -148,23 +146,21 @@ def cmd_bounds(a_min, a_max, n_samples=200, out_path=None):
     grid = np.linspace(a_min, a_max, int(n_samples))
     upper_t = theorem1_b_max(grid)
     upper_l = lemma_b_max(grid)
-    inputs = {
+    entries = {
         "a_min_nondim": float(a_min),
         "a_max_nondim": float(a_max),
         "n_samples": int(n_samples),
-    }
-    outputs = {
         "n_rows": int(grid.size),
         "theorem1_b_max_min_nondim": float(upper_t.min()),
         "lemma_b_max_min_nondim": float(upper_l.min()),
     }
     writes = []
     if out_path is not None:
-        outputs["bounds_csv"] = out_path
+        entries["bounds_csv"] = out_path
         writes.append((out_path, functools.partial(
             _write_csv, header=["a", "theorem1_b_max", "lemma_b_max"],
             columns=[grid, upper_t, upper_l])))
-    return _finish("bounds", start, inputs, outputs, writes)
+    return _finish("bounds", start, entries, writes)
 
 
 def cmd_synth(a, b, ecc2=0.0, scale_radius=5.5, out_path=None, **fields):
@@ -180,7 +176,7 @@ def cmd_synth(a, b, ecc2=0.0, scale_radius=5.5, out_path=None, **fields):
         **fields,
     )
     mesh = generate_synthetic(spec)
-    inputs = {
+    entries = {
         "a_nondim": float(spec.params.a),
         "b_nondim": float(spec.params.b),
         "ecc2_nondim": float(spec.ellipse.signed_ecc_sq),
@@ -189,14 +185,11 @@ def cmd_synth(a, b, ecc2=0.0, scale_radius=5.5, out_path=None, **fields):
         "seed": int(spec.seed),
         "n_x": int(spec.n_x),
         "n_y": int(spec.n_y),
-    }
-    outputs = {
         "mesh_path": out_path,
         "n_valid": int(mesh.valid.sum()),
         "max_elevation_mm": float(np.nanmax(mesh.z)),
     }
-    return _finish("synth", start, inputs, outputs,
-                   [(out_path, functools.partial(write_mesh, mesh))])
+    return _finish("synth", start, entries, [(out_path, functools.partial(write_mesh, mesh))])
 
 
 def cmd_fit(mesh_path, out_path=None, **fields):
@@ -211,8 +204,9 @@ def cmd_fit(mesh_path, out_path=None, **fields):
                 raise OSError(errno.EILSEQ, "the fit report cannot name a non-ASCII path", path)
     mesh = read_mesh(mesh_path)
     result = fit_mesh(mesh, options)
-
-    outputs = {
+    entries = {
+        "mesh_path": mesh_path,
+        "level_fraction_nondim": options.level_fraction,
         "a_nondim": result.params.a,
         "b_nondim": result.params.b,
         "signed_ecc_sq_nondim": result.ellipse.signed_ecc_sq,
@@ -226,13 +220,11 @@ def cmd_fit(mesh_path, out_path=None, **fields):
         "n_points_used": result.n_points_used,
         "error_summary": result.error_summary(),
     }
-    inputs = {"mesh_path": mesh_path, "level_fraction_nondim": options.level_fraction}
     writes = []
     if out_path is not None:
-        outputs["report_path"] = out_path
-        outputs["errors_mesh_path"] = out_path + ".errors"
+        entries.update(report_path=out_path, errors_mesh_path=out_path + ".errors")
         writes.append((out_path + ".errors", _grid_writer(mesh, result.error_grid_mm)))
-    return _finish("fit", start, inputs, outputs, writes, report_path=out_path)
+    return _finish("fit", start, entries, writes, report_path=out_path)
 
 
 def _read_fit_report(path, keys):
@@ -264,15 +256,13 @@ def cmd_axial(mesh_path, fit_path=None, out_path=None,
     """
     start = time.perf_counter()
     mesh = read_mesh(mesh_path)
-    inputs = {"mesh_path": mesh_path}
-    outputs = {}
-
+    entries = {"mesh_path": mesh_path}
     if fit_path is None:
         circle = DomainEllipse.from_signed_ecc_sq(0.0)
         d_mesh = axial_distance_map(mesh, circle, gradient_floor=gradient_floor)
         errors = None
     else:
-        inputs["fit_path"] = fit_path
+        entries["fit_path"] = fit_path
         a, b, signed_ecc_sq, scale, apex_x, apex_y = _read_fit_report(
             fit_path, ("a_nondim", "b_nondim", "signed_ecc_sq_nondim",
                        "scale_radius_mm", "apex_x_mm", "apex_y_mm"))
@@ -281,19 +271,19 @@ def cmd_axial(mesh_path, fit_path=None, out_path=None,
             scale, (apex_x, apex_y), gradient_floor)
 
     defined = np.isfinite(d_mesh)
-    outputs["n_defined"] = int(defined.sum())
+    entries["n_defined"] = int(defined.sum())
     if defined.any():
-        outputs["d_mean_mm"] = float(d_mesh[defined].mean())
+        entries["d_mean_mm"] = float(d_mesh[defined].mean())
     if errors is not None:
-        outputs["axial_mean_abs_error_mm"] = float(errors[~np.isnan(errors)].mean())
+        entries["axial_mean_abs_error_mm"] = float(errors[~np.isnan(errors)].mean())
     writes = []
     if out_path is not None:
-        outputs["d_mesh_path"] = out_path
+        entries["d_mesh_path"] = out_path
         writes.append((out_path, _grid_writer(mesh, d_mesh)))
         if errors is not None:
-            outputs["errors_mesh_path"] = out_path + ".errors"
+            entries["errors_mesh_path"] = out_path + ".errors"
             writes.append((out_path + ".errors", _grid_writer(mesh, errors)))
-    return _finish("axial", start, inputs, outputs, writes)
+    return _finish("axial", start, entries, writes)
 
 
 @functools.cache

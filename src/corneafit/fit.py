@@ -102,6 +102,13 @@ class DomainEllipse:
         return cls(semi_axis_x=small, semi_axis_y=big, signed_ecc_sq=signed_ecc_sq)
 
 
+def _check_gradient_floor(floor):
+    # below 2**-511 the floor's square is subnormal or 0, so a zero
+    # gradient would pass it and 1/|grad h|^2 would divide by zero
+    if not 2.0**-511 <= floor < math.inf:
+        raise ValueError("gradient_floor must be finite and at least 2**-511")
+
+
 @dataclass(frozen=True)
 class FitOptions:
     level_fraction: float = 0.5
@@ -114,8 +121,7 @@ class FitOptions:
             raise ValueError("level_fraction must lie in (0, 1)")
         if not 0.0 < self.apex_window_fraction <= 1.0:
             raise ValueError("apex_window_fraction must lie in (0, 1]")
-        if not self.gradient_floor > 0.0:
-            raise ValueError("gradient_floor must be positive")
+        _check_gradient_floor(self.gradient_floor)
         # every valid point has rel <= 1, so a mask of radius 1 leaves none
         if not 0.0 <= self.apex_mask_radius < 1.0:
             raise ValueError("apex_mask_radius must lie in [0, 1)")
@@ -516,10 +522,9 @@ def axial_distance_map(mesh_or_model, ellipse, gradient_floor=FitOptions.gradien
     using the given ellipse, defined where rel <= 1. Points with
     gradient norm below gradient_floor come out NaN, not raised: the
     formula diverges at the apex. Raises ValueError when gradient_floor
-    is not positive and finite.
+    is not finite or lies below 2**-511 (about 1.5e-154).
     """
-    if not (0.0 < gradient_floor < math.inf):
-        raise ValueError("gradient_floor must be positive and finite")
+    _check_gradient_floor(gradient_floor)
     if isinstance(mesh_or_model, ModelSurface):
         model = mesh_or_model
         template = model.template

@@ -302,6 +302,12 @@ def picard_step(params, prev):
     return _SolverPlan.build(params, prev.grid).step(prev)
 
 
+def _check_tol(tol):
+    # an infinite tol accepts the first iterate; one <= 0 is never met
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+
+
 def solve(params, grid, tol=1e-10, max_iter=50, enforce_bound=False):
     """Iterate the Picard step from h0 until the sup-norm update is <= tol.
 
@@ -313,10 +319,7 @@ def solve(params, grid, tol=1e-10, max_iter=50, enforce_bound=False):
     NoConvergence when max_iter is exhausted; tol must be positive and
     finite, as an infinite one would accept the first iterate.
     """
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-    if tol == math.inf:
-        raise ValueError("tol must be finite")
+    _check_tol(tol)
     plan = _SolverPlan.build(params, grid)
     report = plan.admissibility_report
     if not report.theorem1_ok:
@@ -444,11 +447,11 @@ def fd_oracle(params, grid, tol=None, *, linearize=False):
     1e-10 on coarse grids (n <= 401 at the paper's parameters), and a
     margin of about 3x over the floor on fine ones. Newton converges
     quadratically, so digits below the floor would cost a stall, not
-    accuracy. An explicit tol must be finite and is used as given, even
-    below the floor.
+    accuracy. An explicit tol must be positive and finite, like solve's,
+    and is used as given, even below the floor.
     """
-    if tol is not None and not math.isfinite(tol):
-        raise ValueError("tol must be finite")
+    if tol is not None:
+        _check_tol(tol)
     # fd_oracle is scipy's only user and no CLI command calls it; a module
     # import would double every command's start-up time and memory
     from scipy.linalg import solve_banded

@@ -527,6 +527,21 @@ class TestSilentFailuresExitLoudly:
         assert stdout == ""
 
     @pytest.mark.parametrize("command", ["fit", "axial"])
+    def test_underflowing_gradient_floor_exits_2_without_warning(self, capsys, tmp_path,
+                                                                 command):
+        # 1e-200 squared underflows to 0, which a zero gradient passes
+        mesh_path = tmp_path / "mesh.txt"
+        run(capsys, "synth", "--a", "2", "--b", "2", "--seed", "3", "--out", str(mesh_path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run(capsys, command, "--mesh", str(mesh_path),
+                                       "--gradient-floor", "1e-200")
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error:") and "gradient_floor" in stderr
+        assert [str(warning.message) for warning in caught] == []
+
+    @pytest.mark.parametrize("command", ["fit", "axial"])
     def test_oversized_mesh_header_exits_1_naming_the_row(self, capsys, tmp_path, command):
         mesh_path = tmp_path / "mesh.txt"
         mesh_path.write_text("2 1000000000000 1.0 1.0 0.0 0.0\n1.0 2.0\n3.0 4.0\n")
@@ -624,6 +639,53 @@ class TestRunReport:
         report = cli.cmd_bounds(0.5, 5.0, n_samples=4)
         assert report.render().splitlines()[:2] == ["command = bounds",
                                                     f"version = {__version__}"]
+
+    def test_key_order_of_every_report(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        head = ["command", "version"]
+        solve = head + ["a_nondim", "b_nondim", "n_nodes", "tol_nondim", "enforce_bound",
+                        "iterations", "final_sup_diff_nondim", "residual_sup_nondim",
+                        "envelope_ok", "envelope_A_nondim", "max_elevation_nondim"]
+        bounds = head + ["a_min_nondim", "a_max_nondim", "n_samples", "n_rows",
+                         "theorem1_b_max_min_nondim", "lemma_b_max_min_nondim"]
+        synth = head + ["a_nondim", "b_nondim", "ecc2_nondim", "scale_radius_mm",
+                        "noise_sigma_mm", "seed", "n_x", "n_y", "mesh_path", "n_valid",
+                        "max_elevation_mm"]
+        fit_keys = head + ["mesh_path", "level_fraction_nondim", "a_nondim", "b_nondim",
+                           "signed_ecc_sq_nondim", "scale_radius_mm", "apex_x_mm",
+                           "apex_y_mm", "mean_abs_error_mm", "mean_rel_error_nondim",
+                           "axial_mean_abs_error_mm", "axial_mean_rel_error_nondim",
+                           "n_points_used", "error_summary"]
+        timing = ["timing_ms"]
+        cases = [
+            (["solve", "--a", "2", "--b", "2"], solve + timing),
+            (["solve", "--a", "2", "--b", "2", "--out", "p.csv"],
+             solve + ["profile_csv"] + timing),
+            (["bounds", "--a-min", "0.5", "--a-max", "5", "--n-samples", "4"],
+             bounds + timing),
+            (["bounds", "--a-min", "0.5", "--a-max", "5", "--n-samples", "4",
+              "--out", "b.csv"], bounds + ["bounds_csv"] + timing),
+            (["synth", "--a", "2", "--b", "2", "--n-x", "61", "--n-y", "61",
+              "--out", "m.txt"], synth + timing),
+            (["fit", "--mesh", "m.txt"], fit_keys + timing),
+            (["fit", "--mesh", "m.txt", "--out", "f.txt"],
+             fit_keys + ["report_path", "errors_mesh_path"] + timing),
+            (["axial", "--mesh", "m.txt"], head + ["mesh_path", "n_defined", "d_mean_mm"]
+             + timing),
+            (["axial", "--mesh", "m.txt", "--fit", "f.txt", "--out", "d.txt"],
+             head + ["mesh_path", "fit_path", "n_defined", "d_mean_mm",
+                     "axial_mean_abs_error_mm", "d_mesh_path", "errors_mesh_path"] + timing),
+        ]
+
+        def keys(text):
+            return [line.split(" = ")[0] for line in text.splitlines()]
+
+        for argv, expected in cases:
+            code, stdout, _ = run(capsys, *argv)
+            assert code == 0
+            assert keys(stdout) == expected, argv
+        assert keys((tmp_path / "f.txt").read_text()) == fit_keys + [
+            "report_path", "errors_mesh_path"] + timing
 
 
 class TestOnePassFit:

@@ -360,6 +360,25 @@ class TestAxialDistanceMap:
             with pytest.raises(ValueError, match="gradient_floor"):
                 axial_distance_map(source, CIRCLE, gradient_floor=floor)
 
+    def test_smallest_gradient_floor_is_accepted(self):
+        # its square, 2**-1022, is the smallest normal double; one step
+        # below, a zero gradient at the apex would pass the floor
+        floor = 2.0**-511
+        mesh = sphere_cap(n=61)
+        model = ModelSurface(params=ModelParams(a=2.0, b=2.0), scale_radius=4.0,
+                             template=mesh)
+        assert FitOptions(gradient_floor=floor).gradient_floor == floor
+        for source in (mesh, model):
+            distances = axial_distance_map(source, CIRCLE, gradient_floor=floor)
+            assert math.isnan(distances[30, 30])
+            assert not np.isinf(distances).any()
+            with pytest.raises(ValueError, match="gradient_floor"):
+                axial_distance_map(source, CIRCLE, gradient_floor=np.nextafter(floor, 0.0))
+
+    def test_fit_options_refuse_an_infinite_gradient_floor(self):
+        with pytest.raises(ValueError, match="gradient_floor"):
+            FitOptions(gradient_floor=math.inf)
+
     def test_gradient_floor_masks_everything_when_huge(self):
         mesh = sphere_cap(n=61)
         distances = axial_distance_map(mesh, CIRCLE, gradient_floor=1e6)

@@ -623,6 +623,12 @@ class TestFdOracle:
         with pytest.raises(ValueError, match="tol"):
             fd_oracle(TWO_TWO, RadialGrid.uniform(101), tol=tol)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_non_positive_tolerance_rejected(self, tol):
+        # no residual can meet it, so Newton would run out its steps
+        with pytest.raises(ValueError, match="tol"):
+            fd_oracle(TWO_TWO, RadialGrid.uniform(101), tol=tol)
+
     def test_tolerance_below_noise_floor_raises(self):
         # the discrete residual cannot be driven below float64 noise
         with pytest.raises(NoConvergence):
