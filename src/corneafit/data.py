@@ -145,6 +145,9 @@ class SynthSpec:
             raise ValueError("mesh needs at least 2 samples per axis")
         if not (self.ellipse.semi_axis_x > 0.0 and self.ellipse.semi_axis_y > 0.0):
             raise ValueError("ellipse semi-axes must be positive")
+        if not math.isfinite(2.0 * self.scale_radius * max(self.ellipse.semi_axis_x,
+                                                            self.ellipse.semi_axis_y)):
+            raise ValueError("scale_radius makes the footprint width 2 S max(semi-axis) overflow")
 
 
 def _mix(z):

@@ -50,8 +50,8 @@ call. No plan is kept across calls.
 
 fd_oracle solves the same problem by damped Newton on the conservative
 finite-difference stencil that residual_sup evaluates; it shares no
-quadrature with the Picard route and serves as its independent check. It
-loads scipy on first use, so importing corneafit needs only numpy.
+quadrature with the Picard route and serves as its independent check. Its
+Newton steps need no pivoting (see fd_oracle), so corneafit needs only numpy.
 """
 
 import math
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolation, HypothesisViolation, NoConvergence
-from .kernel import (_SERIES_A_MAX, AdmissibilityReport, ModelParams, _Bessel,
+from .kernel import (_SERIES_A_MAX, LIPSCHITZ_M, AdmissibilityReport, ModelParams, _Bessel,
                      _check_bounds_a, _i0_rise_over_a, admissibility, dv0, dv1, v0, v1)
 from .special import bessel_i, bessel_k
 
@@ -424,6 +424,21 @@ def envelope_check(params, profile):
     return plan.envelope(profile, plan.step(plan.h0))
 
 
+def _solve_tridiagonal(lower, diag, upper, rhs):
+    """Solve a tridiagonal system (diagonals of lengths m - 1, m, m - 1) by
+    elimination without pivoting (Thomas), which diagonal dominance allows;
+    the recurrence is sequential, so it runs over Python floats."""
+    d, x, u = diag.tolist(), rhs.tolist(), upper.tolist()
+    for i, w in enumerate(lower.tolist()):
+        w /= d[i]
+        d[i + 1] -= w * u[i]
+        x[i + 1] -= w * x[i]
+    x[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        x[i] = (x[i] - u[i] * x[i + 1]) / d[i]
+    return np.array(x)
+
+
 # fd_oracle's default tol over its noise floor eps max|h0| / delta^2.
 _FD_FLOOR_FACTOR = 4.0
 
@@ -440,6 +455,12 @@ def fd_oracle(params, grid, tol=None, *, linearize=False):
     at P == 1 (a self-check: the result must approach h0 at the
     discretization rate).
 
+    Newton steps are solved without pivoting: |P'| <= M = 2/(3 sqrt(3)),
+    so the Jacobian is diagonally dominant (weakly in every row, strictly
+    in the last) when b M delta <= 1, i.e. n_nodes - 1 >= M b. That holds
+    on every grid inside Theorem 1's region, as theorem1_b_max(a) < 3 sqrt(3)
+    = 2/M; a grid that breaks it raises ValueError unless linearize.
+
     The residual cannot be driven below the float64 noise floor of its
     own evaluation, eps max|h0| / delta^2 up to a factor near 1
     (measured 0.8-1.5 on n = 201 .. 16001; the floor is 1.6e-9 at
@@ -452,15 +473,14 @@ def fd_oracle(params, grid, tol=None, *, linearize=False):
     """
     if tol is not None:
         _check_tol(tol)
-    # fd_oracle is scipy's only user and no CLI command calls it; a module
-    # import would double every command's start-up time and memory
-    from scipy.linalg import solve_banded
-
     r = grid.nodes
     n = grid.n_nodes
     delta = grid.spacing
     delta2 = delta * delta
     a, b = params.a, params.b
+    if not linearize and b * LIPSCHITZ_M * delta > 1.0:
+        raise ValueError(f"fd_oracle needs b M spacing <= 1, i.e. n_nodes - 1 >= M b = "
+                         f"{b * LIPSCHITZ_M:.6g}, for a diagonally dominant Newton step")
     r_interior, r_mid_minus, r_mid_plus = _flux_nodes(r)
 
     h = _h0_values(params, r)
@@ -477,19 +497,14 @@ def fd_oracle(params, grid, tol=None, *, linearize=False):
             dp = np.zeros_like(slope)
         else:
             dp = -slope * (1.0 + slope * slope) ** -1.5
-        m = n - 1
-        diag = np.empty(m)
+        diag = np.empty(n - 1)
         diag[0] = 4.0 / delta2 + a
         diag[1:] = (r_mid_plus + r_mid_minus) / (r_interior * delta2) + a
-        upper = np.empty(m - 1)
+        upper = np.empty(n - 2)
         upper[0] = -4.0 / delta2
         upper[1:] = (-r_mid_plus / (r_interior * delta2) - b * dp / (2.0 * delta))[:-1]
         lower = -r_mid_minus / (r_interior * delta2) + b * dp / (2.0 * delta)
-        banded = np.zeros((3, m))
-        banded[0, 1:] = upper
-        banded[1, :] = diag
-        banded[2, :-1] = lower
-        step = solve_banded((1, 1), banded, -f)
+        step = _solve_tridiagonal(lower, diag, upper, -f)
 
         scale = 1.0
         for _ in range(30):

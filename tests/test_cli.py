@@ -497,6 +497,17 @@ class TestSilentFailuresExitLoudly:
         assert "Warning" not in stderr
         assert not out.exists()
 
+    def test_overflowing_scale_radius_exits_2_naming_it(self, capsys, tmp_path):
+        # the footprint width 2 S max(semi-axis) overflows inside linspace
+        out = tmp_path / "mesh.txt"
+        code, stdout, stderr = run(capsys, "synth", "--a", "2", "--b", "2",
+                                   "--scale-radius", "1e308", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("error:") and "scale_radius" in stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("key,value", [("apex_x_mm", "nan"), ("apex_y_mm", "inf")])
     def test_non_finite_apex_exits_2(self, capsys, tmp_path, key, value):
         mesh_path, fit_path = fit_report(capsys, tmp_path)
@@ -992,6 +1003,31 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_every_command_and_fd_oracle_run_with_scipy_blocked(tmp_path):
+    # numpy is the only runtime dependency: here any import of scipy raises
+    src = os.path.dirname(os.path.dirname(corneafit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = """
+import sys
+sys.modules["scipy"] = None
+from corneafit import ModelParams, RadialGrid, cli, fd_oracle
+for argv in (["solve", "--a", "2", "--b", "2", "--out", "profile.csv"],
+             ["bounds", "--a-min", "0.5", "--a-max", "5", "--out", "bounds.csv"],
+             ["synth", "--a", "2", "--b", "2", "--noise-sigma", "0.01", "--seed", "7",
+              "--out", "mesh.txt"],
+             ["fit", "--mesh", "mesh.txt", "--out", "fit.txt"],
+             ["axial", "--mesh", "mesh.txt", "--fit", "fit.txt", "--out", "axial.txt"]):
+    assert cli.main(argv) == 0, argv
+fd_oracle(ModelParams(2, 2), RadialGrid.uniform(401))
+print("ok")
+"""
+    result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith("ok\n")
 
 
 class TestInputGuards:

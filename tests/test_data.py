@@ -7,6 +7,7 @@ intentional modular overflow) is verified against an independent route.
 
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -780,6 +781,22 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             SynthSpec(params=REFERENCE.params, scale_radius=5.5, ellipse=CIRCLE,
                       n_x=1)
+
+    @pytest.mark.parametrize("scale_radius,ecc2", [(1e308, 0.0), (8.98e307, 0.5)])
+    def test_scale_radius_whose_footprint_width_overflows_is_refused(self, scale_radius,
+                                                                    ecc2):
+        # 2 S max(semi-axis) is not finite: linspace would overflow
+        with pytest.raises(ValueError, match="scale_radius"):
+            SynthSpec(params=REFERENCE.params, scale_radius=scale_radius,
+                      ellipse=DomainEllipse.from_signed_ecc_sq(ecc2))
+
+    def test_scale_radius_just_below_the_overflow_generates_without_warning(self):
+        spec = SynthSpec(params=REFERENCE.params, scale_radius=8.98e307, ellipse=CIRCLE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh = generate_synthetic(spec)
+        assert math.isfinite(mesh.spacing_x) and math.isfinite(mesh.origin_x)
+        assert mesh.valid.sum() == generate_synthetic(REFERENCE).valid.sum()
 
 
 class TestNoiseStream:

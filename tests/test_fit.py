@@ -75,6 +75,25 @@ def sphere_cap(radius=7.8, aperture=4.0, n=123):
                        origin_x=-aperture, origin_y=-aperture, z=z)
 
 
+def conicoid_cornea(radius, asphericity, scale=5.5, n=123):
+    """Noise-free mesh of Baker's conicoid, sag = r^2 / (R + sqrt(R^2 -
+    (1 + Q) r^2)), as elevation above its rim at r = scale: a cornea
+    shape that the model did not generate."""
+    coords = np.linspace(-scale, scale, n)
+    grid_x, grid_y = np.meshgrid(coords, coords)
+    r_sq = grid_x**2 + grid_y**2
+
+    def sag(rr):
+        return rr / (radius + np.sqrt(radius**2 - (1.0 + asphericity) * rr))
+
+    z = np.full((n, n), np.nan)
+    inside = r_sq <= scale**2
+    z[inside] = sag(scale**2) - sag(r_sq[inside])
+    spacing = 2.0 * scale / (n - 1)
+    return SurfaceMesh(n_x=n, n_y=n, spacing_x=spacing, spacing_y=spacing,
+                       origin_x=-scale, origin_y=-scale, z=z)
+
+
 class TestCalibrateB:
     def test_round_trip_at_reference(self):
         assert calibrate_b(2.0, RHO0_TWO) == pytest.approx(2.0, rel=1e-13)
@@ -285,6 +304,16 @@ class TestFitMesh:
                            origin_x=-1.6, origin_y=-1.6, z=z)
         with pytest.raises(ApexNotFound):
             fit_mesh(mesh)
+
+
+class TestConicoidCornea:
+    # the paper's "about 1%" elevation error, on the range of apical radii
+    # and asphericities of human corneas; the worst case here reads 0.66%
+    @pytest.mark.parametrize("asphericity", [-0.6, -0.4, -0.26, -0.1, 0.0, 0.1])
+    @pytest.mark.parametrize("radius", [7.2, 7.5, 7.8, 8.1, 8.4])
+    def test_fit_error_below_one_percent(self, radius, asphericity):
+        result = fit_mesh(conicoid_cornea(radius, asphericity))
+        assert result.mean_rel_error < 0.01
 
 
 class TestResultTypes:

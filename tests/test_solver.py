@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
 from corneafit import cli, kernel, solver
 from corneafit.errors import BoundViolation, HypothesisViolation, NoConvergence
@@ -595,6 +596,16 @@ class TestEnvelopeFromPlan:
         assert constant == expected
 
 
+def assert_matches_solve_banded(lower, diag, upper, rhs):
+    banded = np.zeros((3, diag.size))
+    banded[0, 1:] = upper
+    banded[1] = diag
+    banded[2, :-1] = lower
+    expected = solve_banded((1, 1), banded, rhs)
+    got = solver._solve_tridiagonal(lower, diag, upper, rhs)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 class TestFdOracle:
     @pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 2.0), (2.07883, 2.76741)])
     def test_agreement_with_picard(self, a, b):
@@ -650,6 +661,38 @@ class TestFdOracle:
         np.testing.assert_array_equal(
             fd_oracle(params, grid).h, fd_oracle(params, grid, tol=1e-10).h
         )
+
+    @pytest.mark.parametrize("n", [101, 4001])
+    @pytest.mark.parametrize("a,b", REFERENCE_PAIRS)
+    def test_newton_steps_match_solve_banded(self, a, b, n):
+        # every Jacobian fd_oracle builds, solved again by LAPACK's banded
+        # solver with partial pivoting
+        solve_tridiagonal = solver._solve_tridiagonal
+        systems = []
+
+        def record(*system):
+            systems.append(tuple(v.copy() for v in system))
+            return solve_tridiagonal(*system)
+
+        with mock.patch.object(solver, "_solve_tridiagonal", record):
+            fd_oracle(ModelParams(a=a, b=b), RadialGrid.uniform(n))
+        assert systems
+        for system in systems:
+            assert_matches_solve_banded(*system)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_small_dominant_systems_match_solve_banded(self, m):
+        rng = np.random.default_rng(m)
+        lower, upper = rng.uniform(-1.0, 1.0, (2, m - 1))
+        diag = rng.choice([-1.0, 1.0], m) * rng.uniform(2.0, 3.0, m)
+        assert_matches_solve_banded(lower, diag, upper, rng.normal(size=m))
+
+    def test_grid_too_coarse_for_a_dominant_jacobian_raises(self):
+        # b M delta = 90 * 0.385 * 0.1 > 1; frozen P has no b term in J
+        params, grid = ModelParams(a=2.0, b=90.0), RadialGrid.uniform(11)
+        with pytest.raises(ValueError, match="diagonally dominant"):
+            fd_oracle(params, grid)
+        assert np.all(np.isfinite(fd_oracle(params, grid, linearize=True).h))
 
     def test_boundary_conditions(self):
         profile = fd_oracle(TWO_TWO, RadialGrid.uniform(101))
