@@ -18,7 +18,8 @@ timing_ms covers every file written before the report.
 
 Exit codes: 0 success; 1 I/O and parse failures; 2 numeric and domain
 failures (bad parameter values, bound violations, no convergence, no
-calibration root); 3 degenerate data (no apex, no level curve).
+calibration root, no memory, floating-point overflow, division by zero or
+invalid operation, which main raises); 3 degenerate data (no apex or level curve).
 """
 
 import argparse
@@ -50,6 +51,8 @@ from .errors import (
     NoConvergence,
     NoRoot,
     ParseError,
+    _check_positive,
+    _check_size,
 )
 from .fit import DomainEllipse, FitOptions, axial_distance_map, axial_error_grid, fit_mesh
 from .kernel import ModelParams, lemma_b_max, theorem1_b_max
@@ -139,10 +142,13 @@ def cmd_solve(a, b, n_nodes=401, tol=1e-10, out_path=None, enforce_bound=False):
 
 def cmd_bounds(a_min, a_max, n_samples=200, out_path=None):
     start = time.perf_counter()
-    if not (0.0 < a_min < a_max):
-        raise ValueError("need 0 < a_min < a_max")
+    _check_positive("a_min", a_min)
+    _check_positive("a_max", a_max)
+    if not a_min < a_max:
+        raise ValueError("need a_min < a_max")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    _check_size("n_samples", n_samples)
     grid = np.linspace(a_min, a_max, int(n_samples))
     upper_t = theorem1_b_max(grid)
     upper_l = lemma_b_max(grid)
@@ -360,14 +366,16 @@ def main(argv=None):
     run = args.pop("run")
 
     try:
-        report = run(**args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = run(**args)
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ApexNotFound, DegenerateLevelSet) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, BoundViolation, NoConvergence, NoRoot, HypothesisViolation) as exc:
+    except (ValueError, ArithmeticError, MemoryError, BoundViolation, NoConvergence, NoRoot,
+            HypothesisViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -70,8 +70,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError
-from .kernel import ModelParams
+from .errors import DimensionMismatch, ParseError, _check_positive, _check_size
+from .kernel import _SERIES_A_MAX, ModelParams
 from .solver import _h0_values
 
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -95,8 +95,8 @@ class SurfaceMesh:
         object.__setattr__(self, "z", z)
         if self.n_x < 2 or self.n_y < 2:
             raise ValueError("mesh needs at least 2 samples per axis")
-        if not (0.0 < self.spacing_x < math.inf and 0.0 < self.spacing_y < math.inf):
-            raise ValueError("mesh spacing must be positive and finite")
+        _check_positive("spacing_x", self.spacing_x)
+        _check_positive("spacing_y", self.spacing_y)
         if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
             raise ValueError("mesh origin must be finite")
         if z.shape != (self.n_y, self.n_x):
@@ -137,17 +137,27 @@ class SynthSpec:
     n_y: int = 123
 
     def __post_init__(self):
-        if not (self.scale_radius > 0.0 and math.isfinite(self.scale_radius)):
-            raise ValueError("scale_radius must be positive and finite")
+        _check_positive("scale_radius", self.scale_radius)
         if not (self.noise_sigma >= 0.0 and math.isfinite(self.noise_sigma)):
             raise ValueError("noise_sigma must be nonnegative and finite")
         if self.n_x < 2 or self.n_y < 2:
             raise ValueError("mesh needs at least 2 samples per axis")
+        _check_size("n_x * n_y", self.n_x * self.n_y)
         if not (self.ellipse.semi_axis_x > 0.0 and self.ellipse.semi_axis_y > 0.0):
             raise ValueError("ellipse semi-axes must be positive")
-        if not math.isfinite(2.0 * self.scale_radius * max(self.ellipse.semi_axis_x,
-                                                            self.ellipse.semi_axis_y)):
-            raise ValueError("scale_radius makes the footprint width 2 S max(semi-axis) overflow")
+        # every value generate_synthetic forms is finite and its grid spacing keeps its
+        # digits when these are: h0 <= b/4 (I0(sqrt(a)) <= 1/(1 - a/4) for a < 4), a
+        # Box-Muller draw has |n| <= sqrt(106 ln 2) < 8.572, and h0's closed form forms b / a
+        scale, axes = self.scale_radius, (self.ellipse.semi_axis_x, self.ellipse.semi_axis_y)
+        a, b, steps = self.params.a, self.params.b, max(self.n_x, self.n_y) - 1
+        for message, value in (
+                ("scale_radius makes the footprint width overflow", 2.0 * scale * max(axes)),
+                ("scale_radius makes the grid spacing too small", steps / 2.0 / scale / min(axes)),
+                ("b makes h0's factor b / a overflow", b / a if a >= _SERIES_A_MAX else b),
+                ("scale_radius, b or noise_sigma make the largest |z| overflow",
+                 scale * (b / 4.0) + 8.572 * self.noise_sigma)):
+            if not math.isfinite(value):
+                raise ValueError(message)
 
 
 def _mix(z):
@@ -243,14 +253,13 @@ def read_mesh(path):
     except ValueError:
         raise ParseError("header rows/cols must be integers", line=1) from None
     try:
-        spacing_x, spacing_y = float(header[2]), float(header[3])
-        origin_x, origin_y = float(header[4]), float(header[5])
-    except ValueError:
-        raise ParseError("header spacings/origins must be numbers", line=1) from None
+        spacing_x, spacing_y, origin_x, origin_y = map(float, header[2:])
+        _check_positive("spacing_x", spacing_x)
+        _check_positive("spacing_y", spacing_y)
+    except ValueError as exc:
+        raise ParseError(f"bad header: {exc}", line=1) from None
     if rows < 2 or cols < 2:
         raise ParseError("header declares fewer than 2 rows or columns", line=1)
-    if not (0.0 < spacing_x < math.inf and 0.0 < spacing_y < math.inf):
-        raise ParseError("header spacings must be positive and finite", line=1)
     if not (math.isfinite(origin_x) and math.isfinite(origin_y)):
         raise ParseError("header origins must be finite", line=1)
 

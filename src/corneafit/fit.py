@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import SurfaceMesh
-from .errors import ApexNotFound, DegenerateLevelSet, NoConvergence, NoRoot
+from .errors import ApexNotFound, DegenerateLevelSet, NoConvergence, NoRoot, _check_positive
 from .kernel import ModelParams
 from .solver import _dh0_values, _h0_values
 from .special import bessel_i
@@ -49,9 +49,7 @@ class ApexMeasurements:
 
     def __post_init__(self):
         for name in ("max_deflection", "central_radius", "scale_radius"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite")
+            _check_positive(name, getattr(self, name))
         if not self.max_deflection < self.scale_radius:
             raise ValueError("max_deflection must be smaller than scale_radius")
 
@@ -178,16 +176,13 @@ class ModelSurface:
     template: SurfaceMesh
 
     def __post_init__(self):
-        if not (self.scale_radius > 0.0 and math.isfinite(self.scale_radius)):
-            raise ValueError("scale_radius must be positive and finite")
+        _check_positive("scale_radius", self.scale_radius)
 
 
 def calibrate_b(a, rho0_nondim):
     """b from the central radius of curvature: b = 2 I0(sqrt(a))/rho(0)."""
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError("a must be positive and finite")
-    if not (rho0_nondim > 0.0 and math.isfinite(rho0_nondim)):
-        raise ValueError("rho0_nondim must be positive and finite")
+    _check_positive("a", a)
+    _check_positive("rho0_nondim", rho0_nondim)
     return 2.0 * bessel_i(0, math.sqrt(a)) / rho0_nondim
 
 
@@ -214,10 +209,8 @@ def calibrate_a(h00_nondim, rho0_nondim):
     model (h00 rho0 <= 1/2 leaves g negative everywhere), and
     NoConvergence when the polish cannot reach the tolerance.
     """
-    if not (h00_nondim > 0.0 and math.isfinite(h00_nondim)):
-        raise ValueError("h00_nondim must be positive and finite")
-    if not (rho0_nondim > 0.0 and math.isfinite(rho0_nondim)):
-        raise ValueError("rho0_nondim must be positive and finite")
+    _check_positive("h00_nondim", h00_nondim)
+    _check_positive("rho0_nondim", rho0_nondim)
     half_product = 0.5 * h00_nondim * rho0_nondim
 
     def dg(a):
@@ -387,12 +380,10 @@ def estimate_ellipse(mesh, level_fraction=0.5, *, center=None, level=None):
     are found or the fit does not describe an ellipse.
     """
     if center is None or level is None:
-        apex_x, apex_y, height, _ = _measure_apex(mesh, FitOptions())
+        apex_x, apex_y, height, _ = _measure_apex(mesh, FitOptions(level_fraction=level_fraction))
         if center is None:
             center = (apex_x, apex_y)
         if level is None:
-            if not 0.0 < level_fraction < 1.0:
-                raise ValueError("level_fraction must lie in (0, 1)")
             level = level_fraction * height
 
     u, v = _level_curve_points(mesh, center, level)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _check_positive
 from .special import bessel_i, bessel_k
 
 # Lipschitz constant of P(x) = 1/sqrt(1+x^2): max |P'| = 2/(3 sqrt(3)).
@@ -45,16 +46,16 @@ class ModelParams:
     """Nondimensional parameters: a = k R^2 / T (stiffness), b = P R / T
     (pressure).
 
-    b = 0 is admitted as the degenerate unloaded state (zero profile);
-    everything else must be strictly positive.
+    b = 0 is admitted as the degenerate unloaded state (zero profile), else
+    b > 0; a must lie in [4.5e-308, 1.25e5], where the bounds are defined.
     """
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError(f"a must be positive and finite, got {self.a!r}")
+        _check_positive("a", self.a)
+        _check_bounds_a(self.a)
         if not (math.isfinite(self.b) and self.b >= 0.0):
             raise ValueError(f"b must be nonnegative and finite, got {self.b!r}")
 
@@ -71,9 +72,7 @@ class DimensionalParams:
 
     def __post_init__(self):
         for name in ("tension", "stiffness", "pressure", "scale_radius"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            _check_positive(name, getattr(self, name))
 
     def nondimensional(self):
         """Rescale by the typical radius: a = k R^2 / T, b = P R / T."""
@@ -126,30 +125,24 @@ def _check_r(r, name, exclude_zero):
     return arr
 
 
-def _check_a_values(a):
-    arr = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(arr) & (arr > 0.0)):
-        raise ValueError(f"a must be positive and finite, got {a!r}")
-    return arr
-
-
 def _check_bounds_a(a):
-    arr = _check_a_values(a)
-    if not np.all(arr <= _BOUNDS_A_MAX):
-        raise ValueError(
-            f"the admissibility bounds need a <= {_BOUNDS_A_MAX:g}, got {float(arr.max())!r}"
-        )
-    if not np.all(arr >= _BOUNDS_A_MIN):
-        raise ValueError(
-            f"the admissibility bounds need a >= {_BOUNDS_A_MIN:g}, got {float(arr.min())!r}"
-        )
+    # a passes when its extremes do; both are NaN if one element is
+    arr = np.asarray(a, dtype=float)
+    if arr.size:
+        low, high = float(arr.min()), float(arr.max())
+        _check_positive("a", low)
+        if high > _BOUNDS_A_MAX:
+            raise ValueError(f"the admissibility bounds need a <= {_BOUNDS_A_MAX:g}, got {high!r}")
+        if low < _BOUNDS_A_MIN:
+            raise ValueError(f"the admissibility bounds need a >= {_BOUNDS_A_MIN:g}, got {low!r}")
     return arr
 
 
 def _check_a(a):
     if np.ndim(a) != 0:
         raise ValueError(f"a must be a positive finite scalar, got {a!r}")
-    return float(_check_a_values(a))
+    _check_positive("a", float(a))
+    return float(a)
 
 
 def _i0_rise_over_a(a, r):

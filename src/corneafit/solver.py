@@ -60,9 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, HypothesisViolation, NoConvergence
+from .errors import BoundViolation, HypothesisViolation, NoConvergence, _check_positive, _check_size
 from .kernel import (_SERIES_A_MAX, LIPSCHITZ_M, AdmissibilityReport, ModelParams, _Bessel,
-                     _check_bounds_a, _i0_rise_over_a, admissibility, dv0, dv1, v0, v1)
+                     _i0_rise_over_a, admissibility, dv0, dv1, v0, v1)
 from .special import bessel_i, bessel_k
 
 
@@ -89,6 +89,7 @@ class RadialGrid:
     @classmethod
     def uniform(cls, n_nodes):
         n_nodes = int(n_nodes)
+        _check_size("n_nodes", n_nodes)
         return cls(n_nodes=n_nodes, nodes=np.linspace(0.0, 1.0, n_nodes))
 
     @property
@@ -198,8 +199,7 @@ class _SolverPlan:
     def build(cls, params, grid):
         r = grid.nodes
         a = params.a
-        # refuse an a past the bounds' limit before the tables overflow
-        sa = math.sqrt(_check_bounds_a(a))
+        sa = math.sqrt(a)
         # the record's values; see the module docstring
         v0_all = v0(r, a)
         i1_r = bessel_i(1, sa * r)
@@ -302,12 +302,6 @@ def picard_step(params, prev):
     return _SolverPlan.build(params, prev.grid).step(prev)
 
 
-def _check_tol(tol):
-    # an infinite tol accepts the first iterate; one <= 0 is never met
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-
-
 def solve(params, grid, tol=1e-10, max_iter=50, enforce_bound=False):
     """Iterate the Picard step from h0 until the sup-norm update is <= tol.
 
@@ -319,7 +313,7 @@ def solve(params, grid, tol=1e-10, max_iter=50, enforce_bound=False):
     NoConvergence when max_iter is exhausted; tol must be positive and
     finite, as an infinite one would accept the first iterate.
     """
-    _check_tol(tol)
+    _check_positive("tol", tol)
     plan = _SolverPlan.build(params, grid)
     report = plan.admissibility_report
     if not report.theorem1_ok:
@@ -472,7 +466,7 @@ def fd_oracle(params, grid, tol=None, *, linearize=False):
     and is used as given, even below the floor.
     """
     if tol is not None:
-        _check_tol(tol)
+        _check_positive("tol", tol)
     r = grid.nodes
     n = grid.n_nodes
     delta = grid.spacing
