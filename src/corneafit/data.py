@@ -71,8 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, _check_positive, _check_size
-from .kernel import _SERIES_A_MAX, ModelParams
-from .solver import _h0_values
+from .kernel import ModelParams, _h0_values
 
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
@@ -146,16 +145,16 @@ class SynthSpec:
         if not (self.ellipse.semi_axis_x > 0.0 and self.ellipse.semi_axis_y > 0.0):
             raise ValueError("ellipse semi-axes must be positive")
         # every value generate_synthetic forms is finite and its grid spacing keeps its
-        # digits when these are: h0 <= b/4 (I0(sqrt(a)) <= 1/(1 - a/4) for a < 4), a
-        # Box-Muller draw has |n| <= sqrt(106 ln 2) < 8.572, and h0's closed form forms b / a
+        # digits when these are: h0 peaks at the apex, so |z| <= S h0(0) + 8.572 sigma
+        # (a Box-Muller draw has |n| <= sqrt(106 ln 2) < 8.572); h0(0) is a Python float,
+        # so its overflow raises no numpy warning
         scale, axes = self.scale_radius, (self.ellipse.semi_axis_x, self.ellipse.semi_axis_y)
-        a, b, steps = self.params.a, self.params.b, max(self.n_x, self.n_y) - 1
+        steps = max(self.n_x, self.n_y) - 1
         for message, value in (
                 ("scale_radius makes the footprint width overflow", 2.0 * scale * max(axes)),
                 ("scale_radius makes the grid spacing too small", steps / 2.0 / scale / min(axes)),
-                ("b makes h0's factor b / a overflow", b / a if a >= _SERIES_A_MAX else b),
                 ("scale_radius, b or noise_sigma make the largest |z| overflow",
-                 scale * (b / 4.0) + 8.572 * self.noise_sigma)):
+                 scale * _h0_values(self.params, 0.0) + 8.572 * self.noise_sigma)):
             if not math.isfinite(value):
                 raise ValueError(message)
 
@@ -186,15 +185,18 @@ def generate_synthetic(spec):
     The grid spans the ellipse's bounding box exactly: x runs over
     linspace(-S R1, S R1, n_x) and y over linspace(-S R2, S R2, n_y),
     so the rim points on the axes land on the footprint boundary and are
-    kept (the mask is elliptical radius <= 1). Outside the footprint
-    z is NaN; a grid with no point inside it raises ValueError.
+    kept (the mask is elliptical radius <= 1). The elliptical radius is
+    taken on the unit grid u = linspace(-1, 1, n_x), v = linspace(-1, 1,
+    n_y), so the footprint, and with it n_valid, depends on n_x and n_y
+    alone. Outside the footprint z is NaN; a grid with no point inside it
+    raises ValueError.
     """
     scale = spec.scale_radius
     half_x = scale * spec.ellipse.semi_axis_x
     half_y = scale * spec.ellipse.semi_axis_y
-    x = np.linspace(-half_x, half_x, spec.n_x)
-    y = np.linspace(-half_y, half_y, spec.n_y)
-    rel = np.sqrt((x / half_x) ** 2 + (y[:, None] / half_y) ** 2)
+    u = np.linspace(-1.0, 1.0, spec.n_x)
+    v = np.linspace(-1.0, 1.0, spec.n_y)
+    rel = np.sqrt(u ** 2 + v[:, None] ** 2)
     valid = rel <= 1.0
     if not valid.any():
         raise ValueError("no grid point lies inside the footprint; use more samples")

@@ -34,8 +34,7 @@ import numpy as np
 
 from .data import SurfaceMesh
 from .errors import ApexNotFound, DegenerateLevelSet, NoConvergence, NoRoot, _check_positive
-from .kernel import ModelParams
-from .solver import _dh0_values, _h0_values
+from .kernel import ModelParams, _dh0_values, _h0_values
 from .special import bessel_i
 
 

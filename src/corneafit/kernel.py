@@ -13,6 +13,10 @@ projection P(x) = 1/sqrt(1+x^2), and the two admissibility curves that
 delimit the (a, b) parameter region: the contraction bound (strict) and
 the envelope bound (non-strict).
 
+It is also the one home of the closed-form linearized surface h0 (the
+P == 1 solution, which the solver starts from and the mesh code samples)
+and of its slope, with h0's small-a series; Q is h0(0).
+
 v1 diverges logarithmically at r = 0 and is refused there; the solver
 owns the origin limits (the enclosing integrals stay finite).
 """
@@ -139,9 +143,10 @@ def _check_bounds_a(a):
 
 
 def _check_a(a):
+    # the tables take the a-range of ModelParams: past it exp overflows
     if np.ndim(a) != 0:
         raise ValueError(f"a must be a positive finite scalar, got {a!r}")
-    _check_positive("a", float(a))
+    _check_bounds_a(float(a))
     return float(a)
 
 
@@ -189,6 +194,25 @@ class _Bessel:
         value = (bessel_k if name == "k0" else bessel_i)(int(name[1]), z)
         setattr(self, name, value)
         return value
+
+
+def _h0_values(params, r, bessel=None):
+    # h0(r) = (b/a)(1 - I0(sqrt(a) r)/I0(sqrt(a))); bessel is a _Bessel
+    # record on r when the caller already holds one. Below a = 1e-6 the
+    # difference loses its digits, so h0 = b ((I0(sqrt(a)) -
+    # I0(sqrt(a) r))/a) / I0(sqrt(a)) with that ratio from its series.
+    a = params.a
+    if a < _SERIES_A_MAX:
+        return params.b * _i0_rise_over_a(a, r) / (bessel or _Bessel(math.sqrt(a))).i0
+    bv = bessel or _Bessel(math.sqrt(a), r)
+    return (params.b / a) * (1.0 - bv.i0_r / bv.i0)
+
+
+def _dh0_values(params, r, bessel=None):
+    # h0'(r) = -(b/sqrt(a)) I1(sqrt(a) r)/I0(sqrt(a)); bessel likewise
+    sa = math.sqrt(params.a)
+    bv = bessel or _Bessel(sa, r)
+    return -(params.b / sa) * bv.i1_r / bv.i0
 
 
 def v0(r, a):
@@ -239,20 +263,14 @@ def dv1(r, a, *, _bessel=None):
 def bound_constants(params):
     """Closed-form kernel mass bounds Q, R and the contraction M*R.
 
-    Q = (b/a)(1 - 1/I0(sqrt(a)));
+    Q = h0(0) = (b/a)(1 - 1/I0(sqrt(a)));
     R = (b/sqrt(a)) (I1(sqrt(a))/I0(sqrt(a))) (2 I0(sqrt(a)) - 1).
-    Both are linear in b. Below a = 1e-6, Q is b ((I0(sqrt(a)) - 1)/a)
-    / I0(sqrt(a)) with the ratio from its series.
+    Both are linear in b.
     """
-    a, b = params.a, params.b
-    sa = math.sqrt(a)
-    i0 = bessel_i(0, sa)
-    i1 = bessel_i(1, sa)
-    if a < _SERIES_A_MAX:
-        q = b * _i0_rise_over_a(a, 0.0) / i0
-    else:
-        q = (b / a) * (1.0 - 1.0 / i0)
-    r = (b / sa) * (i1 / i0) * (2.0 * i0 - 1.0)
+    sa = math.sqrt(params.a)
+    bv = _Bessel(sa, 0.0)
+    q = _h0_values(params, 0.0, bv)
+    r = (params.b / sa) * (bv.i1 / bv.i0) * (2.0 * bv.i0 - 1.0)
     return KernelBounds(q_bound=q, r_bound=r, lipschitz_m=LIPSCHITZ_M, contraction=LIPSCHITZ_M * r)
 
 

@@ -10,13 +10,10 @@ whose fixed-point form is
     h(r) = (b / I0(sqrt(a))) [ v0(r) int_r^1 t v1(t) P(h'(t)) dt
                              + v1(r) int_0^r t v0(t) P(h'(t)) dt ].
 
-The iteration starts from the closed-form linearization
-
-    h0(r) = (b/a) (1 - I0(sqrt(a) r) / I0(sqrt(a))),
-
-which is exactly the fixed-point operator applied to P == 1. Below
-a = 1e-6 the difference of the two I0 values is summed from its series
-instead, since rounding leaves it no digits as a -> 0.
+The iteration starts from the closed-form linearization h0, which is
+exactly the fixed-point operator applied to P == 1. The solver reads h0
+and its slope from kernel, which holds the closed form and its small-a
+series; h0_profile samples them on a grid.
 
 Quadrature note: the integrand t v1(t) behaves like t log t near the
 origin, which costs composite trapezoid an O(delta^2 log delta) defect
@@ -61,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolation, HypothesisViolation, NoConvergence, _check_positive, _check_size
-from .kernel import (_SERIES_A_MAX, LIPSCHITZ_M, AdmissibilityReport, ModelParams, _Bessel,
-                     _i0_rise_over_a, admissibility, dv0, dv1, v0, v1)
+from .kernel import (LIPSCHITZ_M, AdmissibilityReport, ModelParams, _Bessel, _dh0_values,
+                     _h0_values, admissibility, dv0, dv1, v0, v1)
 from .special import bessel_i, bessel_k
 
 
@@ -139,25 +136,6 @@ class SolveReport:
     envelope_constant_A: float
     h0: RadialProfile
     h1: RadialProfile
-
-
-def _h0_values(params, r, bessel=None):
-    # h0(r) = (b/a)(1 - I0(sqrt(a) r)/I0(sqrt(a))); bessel is a _Bessel
-    # record on r when the caller already holds one. Below a = 1e-6 the
-    # difference loses its digits, so h0 = b ((I0(sqrt(a)) -
-    # I0(sqrt(a) r))/a) / I0(sqrt(a)) with that ratio from its series.
-    a = params.a
-    if a < _SERIES_A_MAX:
-        return params.b * _i0_rise_over_a(a, r) / (bessel or _Bessel(math.sqrt(a))).i0
-    bv = bessel or _Bessel(math.sqrt(a), r)
-    return (params.b / a) * (1.0 - bv.i0_r / bv.i0)
-
-
-def _dh0_values(params, r, bessel=None):
-    # h0'(r) = -(b/sqrt(a)) I1(sqrt(a) r)/I0(sqrt(a)); bessel likewise
-    sa = math.sqrt(params.a)
-    bv = bessel or _Bessel(sa, r)
-    return -(params.b / sa) * bv.i1_r / bv.i0
 
 
 def h0_profile(params, grid, *, _bessel=None):

@@ -799,6 +799,22 @@ class TestSynthetic:
         assert mesh.valid.sum() == generate_synthetic(REFERENCE).valid.sum()
 
 
+class TestFootprint:
+    # the mask is taken on the unit grid, so a rim point exactly on the
+    # ellipse is kept at every scale; x / half_x used to round it either way
+    @pytest.mark.parametrize("n_x,n_y,count", [(21, 21, 317), (41, 51, 1559),
+                                               (123, 123, 11677)])
+    def test_n_valid_depends_only_on_the_grid(self, n_x, n_y, count):
+        counts = {
+            int(generate_synthetic(SynthSpec(
+                params=REFERENCE.params, scale_radius=scale_radius,
+                ellipse=DomainEllipse.from_signed_ecc_sq(ecc2), n_x=n_x, n_y=n_y)).valid.sum())
+            for scale_radius in (0.1, 1.0, 3.3, 5.5, 7.8)
+            for ecc2 in (0.0, 0.0234, 0.5, -0.3)
+        }
+        assert counts == {count}
+
+
 class TestNoiseStream:
     def test_matches_pure_python_reference(self):
         # independent reimplementation with unbounded Python ints

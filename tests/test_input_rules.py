@@ -138,6 +138,8 @@ class TestExactCases:
         (["--a=1e6", "--b=2"], "the admissibility bounds need a <= 125000, got 1000000.0"),
         (["--a=2", "--b=2", "--n-x=1025", "--n-y=1024"],
          f"n_x * n_y must be at most {_MAX_VALUES}, got 1049600"),
+        # h0's factor b / a overflows, so S h0(0) is not finite
+        (["--a=1e-5", "--b=1e304"], "scale_radius, b or noise_sigma"),
     ])
     def test_synth_refusals(self, tmp_path, argv, message):
         out = tmp_path / "mesh.txt"
@@ -146,6 +148,14 @@ class TestExactCases:
         assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
         assert message in stderr
         assert not out.exists()
+
+    def test_synth_whose_largest_z_is_finite_generates(self, tmp_path):
+        # S b / 4 overflows but S h0(0) ~ S b / a does not: used to exit 2
+        out = tmp_path / "mesh.txt"
+        result = run("synth", "--a=100", "--b=1.7e308", "--n-x=21", "--n-y=21", f"--out={out}")
+        report = check_outcome(*result, out)
+        assert report is not None and out.exists()
+        assert math.isfinite(float(report["max_elevation_mm"]))
 
     def test_solve_whose_iterate_overflows_exits_2(self, tmp_path):
         # used to end in an OverflowError traceback with exit 1

@@ -28,6 +28,7 @@ from corneafit.kernel import (
     v0,
     v1,
 )
+from corneafit.solver import RadialGrid, h0_profile
 from corneafit.special import bessel_i
 
 PAPER_PAIRS = [(2.07883, 2.76741), (1.94398, 2.27534)]
@@ -248,6 +249,39 @@ class TestSmallA:
         monkeypatch.setattr(kernel, "bessel_i", no_bessel)
         with pytest.raises(ValueError, match=r"need a >= 4\.5e-308, got "):
             bound(a)
+
+
+class TestTablesRange:
+    # the tables take ModelParams' a-range; v0, v1 and dv0 at 6e5 read inf
+    # after an exp overflow warning, and dv1 read -inf
+    @pytest.mark.parametrize("table", [v0, v1, dv0, dv1])
+    @pytest.mark.parametrize("a,message", [(6e5, r"need a <= 125000, got 600000\.0"),
+                                           (1e308, r"need a <= 125000, got "),
+                                           (1e-320, r"need a >= 4\.5e-308, got ")],
+                             ids=["past-the-bounds", "huge", "subnormal"])
+    def test_a_outside_the_range_raises_before_any_bessel_call(self, monkeypatch, table, a,
+                                                               message):
+        def no_bessel(*args, **kwargs):
+            raise AssertionError("Bessel function called")
+
+        monkeypatch.setattr(kernel, "bessel_i", no_bessel)
+        monkeypatch.setattr(kernel, "bessel_k", no_bessel)
+        with pytest.raises(ValueError, match=message):
+            table(0.5, a)
+
+
+class TestApexHeight:
+    # Q is h0(0): bound_constants and h0_profile read it from one function,
+    # on both sides of the small-a series switch
+    @settings(max_examples=150, deadline=None)
+    @given(a=st.floats(min_value=4.5e-308, max_value=1e-6, exclude_max=True)
+           | st.floats(min_value=1e-6, max_value=1.25e5),
+           b=st.floats(min_value=0.0, max_value=1e5),
+           n=st.sampled_from([3, 401, 4001]))
+    def test_q_bound_is_the_apex_of_h0_bit_for_bit(self, a, b, n):
+        params = ModelParams(a=a, b=b)
+        apex = h0_profile(params, RadialGrid.uniform(n)).h[0]
+        assert bound_constants(params).q_bound == apex
 
 
 def scalar_theorem1_b_max(a):
