@@ -51,6 +51,7 @@ from .errors import (
     NoConvergence,
     NoRoot,
     ParseError,
+    _check_count,
     _check_positive,
     _check_size,
 )
@@ -120,7 +121,7 @@ def cmd_solve(a, b, n_nodes=401, tol=1e-10, out_path=None, enforce_bound=False):
     entries = {
         "a_nondim": float(a),
         "b_nondim": float(b),
-        "n_nodes": int(n_nodes),
+        "n_nodes": grid.n_nodes,
         "tol_nondim": float(tol),
         "enforce_bound": bool(enforce_bound),
         "iterations": report.iterations,
@@ -146,10 +147,9 @@ def cmd_bounds(a_min, a_max, n_samples=200, out_path=None):
     _check_positive("a_max", a_max)
     if not a_min < a_max:
         raise ValueError("need a_min < a_max")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+    _check_count("n_samples", n_samples, 2)
     _check_size("n_samples", n_samples)
-    grid = np.linspace(a_min, a_max, int(n_samples))
+    grid = np.linspace(a_min, a_max, n_samples)
     upper_t = theorem1_b_max(grid)
     upper_l = lemma_b_max(grid)
     entries = {

@@ -70,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, _check_positive, _check_size
+from .errors import DimensionMismatch, ParseError, _check_count, _check_positive, _check_size
 from .kernel import ModelParams, _h0_values
 
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -92,8 +92,8 @@ class SurfaceMesh:
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
         object.__setattr__(self, "z", z)
-        if self.n_x < 2 or self.n_y < 2:
-            raise ValueError("mesh needs at least 2 samples per axis")
+        _check_count("n_x", self.n_x, 2)
+        _check_count("n_y", self.n_y, 2)
         _check_positive("spacing_x", self.spacing_x)
         _check_positive("spacing_y", self.spacing_y)
         if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
@@ -139,8 +139,8 @@ class SynthSpec:
         _check_positive("scale_radius", self.scale_radius)
         if not (self.noise_sigma >= 0.0 and math.isfinite(self.noise_sigma)):
             raise ValueError("noise_sigma must be nonnegative and finite")
-        if self.n_x < 2 or self.n_y < 2:
-            raise ValueError("mesh needs at least 2 samples per axis")
+        _check_count("n_x", self.n_x, 2)
+        _check_count("n_y", self.n_y, 2)
         _check_size("n_x * n_y", self.n_x * self.n_y)
         if not (self.ellipse.semi_axis_x > 0.0 and self.ellipse.semi_axis_y > 0.0):
             raise ValueError("ellipse semi-axes must be positive")

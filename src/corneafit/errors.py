@@ -1,12 +1,14 @@
 """Exception types and input rules shared across the package.
 
 Plain ValueError is used for ordinary domain errors (negative argument,
-out-of-range node, nonpositive parameter; _check_positive and _check_size
-are two rules shared by many inputs). The classes here name failure modes
-that callers are expected to branch on; the CLI maps them to exit codes.
+out-of-range node, nonpositive parameter; _check_positive, _check_count
+and _check_size are rules shared by many inputs). The classes here name
+failure modes that callers are expected to branch on; the CLI maps them
+to exit codes.
 """
 
 import math
+import numbers
 
 # a 1024 x 1024 mesh; at 200 bytes a node, a solve of this size takes 210 MB
 _MAX_VALUES = 2**20
@@ -15,6 +17,12 @@ _MAX_VALUES = 2**20
 def _check_positive(name, value):
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_count(name, value, minimum):
+    # numpy integers are Integral; bool is too, but True is no count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 def _check_size(name, count):

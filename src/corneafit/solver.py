@@ -28,11 +28,14 @@ makes the zero-slope input reproduce h0 exactly.
 Everything the step needs besides the previous slope depends only on
 (params, grid): the kernel tables v0, v1, v0', v1', the quadrature
 weights t v0 and t v1, h0 with its slope, c = b / I0(sqrt(a)) and the
-admissibility report. A private solver plan evaluates them once; each
-Picard step on the plan is then only the P - 1 integrand, two cumulative
-sums and the recombination. The tables, h0 and the bounds read their
-Bessel values from one kernel._Bessel record (its r > 0 slice for v1
-and v1'). The plan fills it from the v0 table I0(sqrt(a) r), one
+admissibility report. A private solver plan evaluates them once, each
+on the full grid; each Picard step on the plan is then only the P - 1
+integrand, two cumulative sums, one expression each for h and h' and the
+two boundary pins. v1 and v1' diverge at r = 0, where the plan stores
+0.0 (and in t v1): there the v1 term's integral from 0 to r is 0, and
+the term tends to 0 like r^2 log r. The tables, h0 and the bounds read
+their Bessel values from one kernel._Bessel record (its r > 0 slice for
+v1 and v1'). The plan fills it from the v0 table I0(sqrt(a) r), one
 I1(sqrt(a) r) array, their r = 1 elements I0(sqrt(a)) and I1(sqrt(a))
 (the grid ends exactly at 1, and bessel_i gives each element the bits
 of its scalar call) and one scalar K0(sqrt(a)). The K0(sqrt(a) r) and
@@ -42,8 +45,7 @@ constant A and the slope factor 2 - 1/I0(sqrt(a)) come from the plan's
 I0(sqrt(a)) and h0'(1), with no further Bessel call. solve builds one
 plan per call, keeps the first iterate h1 and hands the plan's h0 and
 that h1 to the envelope check and, through SolveReport, to its callers.
-picard_step and envelope_check are thin wrappers that build a plan per
-call. No plan is kept across calls.
+picard_step and envelope_check build a plan per call; none is kept.
 
 fd_oracle solves the same problem by damped Newton on the conservative
 finite-difference stencil that residual_sup evaluates; it shares no
@@ -57,7 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, HypothesisViolation, NoConvergence, _check_positive, _check_size
+from .errors import (BoundViolation, HypothesisViolation, NoConvergence, _check_count,
+                     _check_positive, _check_size)
 from .kernel import (LIPSCHITZ_M, AdmissibilityReport, ModelParams, _Bessel, _dh0_values,
                      _h0_values, admissibility, dv0, dv1, v0, v1)
 from .special import bessel_i, bessel_k
@@ -85,9 +88,9 @@ class RadialGrid:
 
     @classmethod
     def uniform(cls, n_nodes):
-        n_nodes = int(n_nodes)
+        _check_count("n_nodes", n_nodes, 3)
         _check_size("n_nodes", n_nodes)
-        return cls(n_nodes=n_nodes, nodes=np.linspace(0.0, 1.0, n_nodes))
+        return cls(n_nodes=int(n_nodes), nodes=np.linspace(0.0, 1.0, n_nodes))
 
     @property
     def spacing(self):
@@ -157,8 +160,9 @@ def h0_profile(params, grid, *, _bessel=None):
 @dataclass(frozen=True, eq=False)
 class _SolverPlan:
     """The Picard loop invariants for one (params, grid); see the module
-    docstring. v1 and v1' diverge at r = 0, so their tables (and the t v1
-    weight) cover r > 0 only."""
+    docstring. Every table covers the full grid. v1 and v1' diverge at
+    r = 0, where their entries are 0.0: each multiplies the v1 term's
+    integral from 0 to r, which is 0 there, and t v1 -> 0 as t -> 0."""
 
     params: ModelParams
     grid: RadialGrid
@@ -166,12 +170,14 @@ class _SolverPlan:
     i0: float  # I0(sqrt(a))
     c: float  # b / I0(sqrt(a))
     v0: np.ndarray
-    v1_pos: np.ndarray
+    v1: np.ndarray
     dv0: np.ndarray
-    dv1_pos: np.ndarray
+    dv1: np.ndarray
     weight0: np.ndarray  # r v0
-    weight1_pos: np.ndarray  # r v1 on r > 0
+    weight1: np.ndarray  # r v1
     h0: RadialProfile
+    v1_pos = property(lambda self: self.v1[1:])  # views of r > 0
+    dv1_pos = property(lambda self: self.dv1[1:])
 
     @classmethod
     def build(cls, params, grid):
@@ -185,7 +191,7 @@ class _SolverPlan:
         at_sa = dict(i0=i0, i1=float(i1_r[-1]), k0=bessel_k(0, sa, _i_z=i0))
         bessel = _Bessel(sa, r, i0_r=v0_all, i1_r=i1_r, **at_sa)
         bessel_pos = _Bessel(sa, r[1:], i0_r=v0_all[1:], i1_r=i1_r[1:], **at_sa)
-        v1_pos = v1(r[1:], a, _bessel=bessel_pos)
+        v1_all = np.concatenate(([0.0], v1(r[1:], a, _bessel=bessel_pos)))
         return cls(
             params=params,
             grid=grid,
@@ -193,11 +199,11 @@ class _SolverPlan:
             i0=i0,
             c=params.b / i0,
             v0=v0_all,
-            v1_pos=v1_pos,
+            v1=v1_all,
             dv0=dv0(r, a, _bessel=bessel),
-            dv1_pos=dv1(r[1:], a, _bessel=bessel_pos),
+            dv1=np.concatenate(([0.0], dv1(r[1:], a, _bessel=bessel_pos))),
             weight0=r * v0_all,
-            weight1_pos=r[1:] * v1_pos,
+            weight1=r * v1_all,
             h0=h0_profile(params, grid, _bessel=bessel),
         )
 
@@ -206,44 +212,24 @@ class _SolverPlan:
 
         Defect-corrected quadrature (see module docstring): returns
         h0 + c [v0 * int_r^1 t v1 (P-1) + v1 * int_0^r t v0 (P-1)]
-        with composite trapezoid prefix/suffix sums, O(n) for all nodes.
-        At r = 0 the v1-weighted term vanishes (r^2 log r); at r = 1 the
-        elevation is pinned to 0. The slope uses the same integrals
-        against v0', v1' (the boundary contributions of differentiating
-        the limits cancel by construction).
+        with composite trapezoid prefix/suffix sums, O(n) for all nodes,
+        then pins h(1) = 0 and h'(0) = 0. The slope uses the same
+        integrals against v0', v1' (the boundary contributions of
+        differentiating the limits cancel by construction).
         """
-        n = self.grid.n_nodes
-        delta = self.grid.spacing
-        c = self.c
-
         excess = 1.0 / np.sqrt(1.0 + prev.dh * prev.dh) - 1.0  # P(h') - 1 in (-1, 0]
         if not np.all(np.isfinite(excess)):
             raise ValueError("non-finite integrand in Picard quadrature")
-
+        half = 0.5 * self.grid.spacing
         g0 = self.weight0 * excess
-        g1 = np.empty(n)
-        g1[0] = 0.0  # t v1(t)(P-1) -> 0 as t -> 0
-        g1[1:] = self.weight1_pos * excess[1:]
-
-        panels0 = 0.5 * delta * (g0[:-1] + g0[1:])
-        panels1 = 0.5 * delta * (g1[:-1] + g1[1:])
-        inner = np.zeros(n)  # int_0^r t v0 (P-1)
-        inner[1:] = np.cumsum(panels0)
-        outer = np.zeros(n)  # int_r^1 t v1 (P-1)
-        outer[:-1] = np.cumsum(panels1[::-1])[::-1]
-
-        base = self.h0
-        h = np.empty(n)
-        h[0] = base.h[0] + c * outer[0]  # v0(0) = 1 and v1-term limit 0
-        h[1:-1] = base.h[1:-1] + c * (
-            self.v0[1:-1] * outer[1:-1] + self.v1_pos[:-1] * inner[1:-1]
-        )
+        g1 = self.weight1 * excess
+        # int_0^r t v0 (P-1) and int_r^1 t v1 (P-1) by cumulative trapezoid
+        inner = np.concatenate(([0.0], np.cumsum(half * (g0[:-1] + g0[1:]))))
+        outer = np.concatenate((np.cumsum(half * (g1[:-1] + g1[1:])[::-1])[::-1], [0.0]))
+        h = self.h0.h + self.c * (self.v0 * outer + self.v1 * inner)
+        dh = self.h0.dh + self.c * (self.dv0 * outer + self.dv1 * inner)
         h[-1] = 0.0
-
-        dh = np.empty(n)
         dh[0] = 0.0
-        dh[1:] = base.dh[1:] + c * (self.dv0[1:] * outer[1:] + self.dv1_pos * inner[1:])
-
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(dh))):
             raise ValueError("non-finite result in Picard quadrature")
         return RadialProfile(grid=self.grid, h=h, dh=dh)
@@ -288,10 +274,12 @@ def solve(params, grid, tol=1e-10, max_iter=50, enforce_bound=False):
     b < theorem1_b_max(a) is required and its violation raises
     BoundViolation; otherwise a violation only warns (the condition is
     sufficient, not necessary) and iteration proceeds. Raises
-    NoConvergence when max_iter is exhausted; tol must be positive and
-    finite, as an infinite one would accept the first iterate.
+    NoConvergence when max_iter is exhausted; max_iter must be an integer
+    of at least 1, and tol must be positive and finite, as an infinite one
+    would accept the first iterate.
     """
     _check_positive("tol", tol)
+    _check_count("max_iter", max_iter, 1)
     plan = _SolverPlan.build(params, grid)
     report = plan.admissibility_report
     if not report.theorem1_ok:
@@ -307,8 +295,6 @@ def solve(params, grid, tol=1e-10, max_iter=50, enforce_bound=False):
         )
 
     prev = plan.h0
-    sup_diff = math.inf
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         current = plan.step(prev)
         if iterations == 1:

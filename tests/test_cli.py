@@ -993,6 +993,26 @@ class TestParserReuse:
         assert parse_report(stdout)["level_fraction_nondim"] == "0.5"
 
 
+def test_python_dash_m_runs_the_cli(capsys, tmp_path):
+    # __main__.py is the one module that no in-process test runs
+    src = os.path.dirname(os.path.dirname(corneafit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def module_run(*argv):
+        return subprocess.run([sys.executable, "-m", "corneafit", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+
+    result = module_run("solve", "--a", "2", "--b", "2")
+    assert result.returncode == 0, result.stderr
+    code, stdout, _ = run(capsys, "solve", "--a", "2", "--b", "2")
+    assert code == 0
+    reports = [[line for line in text.splitlines() if not line.startswith("timing_ms = ")]
+               for text in (result.stdout, stdout)]
+    assert len(reports[0]) > 1 and reports[0] == reports[1]
+    assert module_run("solve", "--a", "-1", "--b", "2").returncode == 2
+
+
 def test_cli_import_loads_no_scipy():
     # scipy serves only fd_oracle, which no command calls
     src = os.path.dirname(os.path.dirname(corneafit.__file__))

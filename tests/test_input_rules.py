@@ -140,6 +140,7 @@ class TestExactCases:
          f"n_x * n_y must be at most {_MAX_VALUES}, got 1049600"),
         # h0's factor b / a overflows, so S h0(0) is not finite
         (["--a=1e-5", "--b=1e304"], "scale_radius, b or noise_sigma"),
+        (["--a=2", "--b=2", "--n-x=1"], "n_x must be an integer of at least 2, got 1"),
     ])
     def test_synth_refusals(self, tmp_path, argv, message):
         out = tmp_path / "mesh.txt"
@@ -174,10 +175,27 @@ class TestExactCases:
          "n_samples must be at most 1048576, got 1048577"),
         # linspace used to warn, then the message listed all 200 samples
         (["bounds", "--a-min=0.5", "--a-max=inf"], "a_max must be positive and finite, got inf"),
+        (["solve", "--a=2", "--b=2", "--n-nodes=2"], "n_nodes must be an integer of at least 3, got 2"),
+        (["bounds", "--a-min=0.5", "--a-max=5", "--n-samples=1"],
+         "n_samples must be an integer of at least 2, got 1"),
     ])
     def test_solve_and_bounds_refusals(self, argv, message):
         code, stdout, stderr, caught = run(*argv)
         assert (code, stdout, stderr, caught) == (2, "", f"error: {message}\n", [])
+
+    @pytest.mark.parametrize("make,message", [
+        # 10.5 used to build 10 rows, and 21.5 failed with a bare TypeError
+        (lambda: cli.cmd_bounds(0.5, 5.0, n_samples=10.5), "n_samples must be an integer"),
+        (lambda: SynthSpec(params=ModelParams(a=2.0, b=2.0), scale_radius=5.5,
+                           ellipse=DomainEllipse.from_signed_ecc_sq(0.0), n_x=21.5),
+         "n_x must be an integer"),
+        (lambda: SynthSpec(params=ModelParams(a=2.0, b=2.0), scale_radius=5.5,
+                           ellipse=DomainEllipse.from_signed_ecc_sq(0.0), n_y=np.float64(21)),
+         "n_y must be an integer"),
+    ])
+    def test_counts_must_be_integers(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_numeric_exception_in_a_command_exits_2(self, monkeypatch):
         def overflow(*args, **kwargs):

@@ -86,6 +86,17 @@ class TestRadialGrid:
         with pytest.raises(ValueError):
             RadialProfile(grid=grid, h=good_h[:-1], dh=good_dh)
 
+    @pytest.mark.parametrize("n_nodes", [4.7, 5.0, "5", True, 2, np.int64(2)])
+    def test_node_count_must_be_an_integer_of_at_least_3(self, n_nodes):
+        # 4.7 used to build 4 nodes
+        with pytest.raises(ValueError, match="n_nodes must be an integer of at least 3"):
+            RadialGrid.uniform(n_nodes)
+
+    def test_numpy_integer_node_count_accepted(self):
+        grid = RadialGrid.uniform(np.int64(11))
+        assert type(grid.n_nodes) is int
+        np.testing.assert_array_equal(grid.nodes, RadialGrid.uniform(11).nodes)
+
 
 class TestLinearizedProfile:
     def test_boundary_values_exact(self):
@@ -250,6 +261,17 @@ class TestSolve:
     def test_max_iter_exhaustion_raises(self):
         with pytest.raises(NoConvergence):
             solve(TWO_TWO, RadialGrid.uniform(101), max_iter=1)
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, 50.0, True, None])
+    def test_max_iter_must_be_an_integer_of_at_least_1(self, max_iter):
+        # 0 used to report a stall "after 0 steps" without taking one
+        with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+            solve(TWO_TWO, RadialGrid.uniform(101), max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        grid = RadialGrid.uniform(101)
+        report = solve(TWO_TWO, grid, max_iter=np.int64(50))
+        np.testing.assert_array_equal(report.profile.h, solve(TWO_TWO, grid).profile.h)
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
@@ -468,6 +490,58 @@ class TestSharedBesselArrays:
         base = h0_profile(params, grid)
         np.testing.assert_array_equal(plan.h0.h, base.h)
         np.testing.assert_array_equal(plan.h0.dh, base.dh)
+
+
+def per_region_step(plan, prev):
+    # _SolverPlan.step as written when the plan held v1, v1' and t v1 on
+    # r > 0 only and put h and h' together in three index regions
+    n = plan.grid.n_nodes
+    delta = plan.grid.spacing
+    c = plan.c
+    excess = 1.0 / np.sqrt(1.0 + prev.dh * prev.dh) - 1.0
+    g0 = plan.weight0 * excess
+    g1 = np.empty(n)
+    g1[0] = 0.0
+    g1[1:] = plan.weight1[1:] * excess[1:]
+    panels0 = 0.5 * delta * (g0[:-1] + g0[1:])
+    panels1 = 0.5 * delta * (g1[:-1] + g1[1:])
+    inner = np.zeros(n)
+    inner[1:] = np.cumsum(panels0)
+    outer = np.zeros(n)
+    outer[:-1] = np.cumsum(panels1[::-1])[::-1]
+    base = plan.h0
+    h = np.empty(n)
+    h[0] = base.h[0] + c * outer[0]
+    h[1:-1] = base.h[1:-1] + c * (plan.v0[1:-1] * outer[1:-1] + plan.v1_pos[:-1] * inner[1:-1])
+    h[-1] = 0.0
+    dh = np.empty(n)
+    dh[0] = 0.0
+    dh[1:] = base.dh[1:] + c * (plan.dv0[1:] * outer[1:] + plan.dv1_pos * inner[1:])
+    return h, dh
+
+
+class TestFullGridStep:
+    # the plan's tables cover the full grid, with 0.0 at r = 0 for v1, v1'
+    # and t v1; the one-expression step must keep every bit of the
+    # per-region one, at the small-a series and at b = 0 included
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=A_ACROSS_BESSEL_BRANCHES | st.floats(1e-300, 1e-6, exclude_max=True),
+        fraction=st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True),
+        n=st.sampled_from([3, 4, 401, 4001]),
+    )
+    def test_step_equals_the_per_region_step_bit_for_bit(self, a, fraction, n):
+        params = ModelParams(a=a, b=fraction * theorem1_b_max(a))
+        grid = RadialGrid.uniform(n)
+        plan = solver._SolverPlan.build(params, grid)
+        assert plan.v1[0] == 0.0 and plan.dv1[0] == 0.0 and plan.weight1[0] == 0.0
+        for prev in (plan.h0, solve(params, grid).profile):
+            out = plan.step(prev)
+            h, dh = per_region_step(plan, prev)
+            np.testing.assert_array_equal(out.h, h)
+            np.testing.assert_array_equal(out.dh, dh)
+            assert np.array_equal(np.signbit(out.h), np.signbit(h))
+            assert np.array_equal(np.signbit(out.dh), np.signbit(dh))
 
 
 def inline_residual_sup(params, profile):
