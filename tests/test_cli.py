@@ -1025,6 +1025,53 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not glibc(), reason="main sets glibc's heap thresholds only")
+def test_second_mesh_pair_faults_almost_no_pages(capsys, tmp_path):
+    # main holds freed heap pages, and tables are rewritten in place, so a
+    # second fit plus axial --fit pair on the paper's 123 x 123 mesh reuses
+    # the pages of the first; under glibc's default thresholds it faults
+    # about 1,130
+    import resource
+
+    mesh, report, axial = (str(tmp_path / name) for name in ("mesh.txt", "fit.txt", "axial.txt"))
+    code, _, _ = run(capsys, "synth", "--a", "1.94398", "--b", "2.27534", "--ecc2", "0.0234",
+                     "--noise-sigma", "0.01", "--seed", "7", "--out", mesh)
+    assert code == 0
+    faults = []
+    for _ in range(2):
+        start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for argv in (["fit", "--mesh", mesh, "--out", report],
+                     ["axial", "--mesh", mesh, "--fit", report, "--out", axial]):
+            assert run(capsys, *argv)[0] == 0
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+    assert faults[1] < 100, faults
+
+
+def test_main_runs_where_no_glibc_is_reported(capsys, monkeypatch):
+    # without glibc the allocator is left alone and every command still runs
+    asked = []
+
+    def confstr(name):
+        asked.append(name)
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(os, "confstr", confstr, raising=False)
+    cli._hold_freed_heap.cache_clear()
+    try:
+        code, stdout, _ = run(capsys, "solve", "--a", "2", "--b", "2")
+    finally:
+        cli._hold_freed_heap.cache_clear()
+    assert code == 0 and parse_report(stdout)["command"] == "solve"
+    assert asked == ["CS_GNU_LIBC_VERSION"]
+
+
 def test_every_command_and_fd_oracle_run_with_scipy_blocked(tmp_path):
     # numpy is the only runtime dependency: here any import of scipy raises
     src = os.path.dirname(os.path.dirname(corneafit.__file__))

@@ -6,6 +6,9 @@ intentional modular overflow) is verified against an independent route.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -688,6 +691,81 @@ class TestTableWriterText:
         monkeypatch.setattr(data, "_TABLE_BLOCK_VALUES", mesh.size)
         assert peak(mesh, " ") > bound
         assert peak(csv, ",") > bound
+
+
+def noisy_mesh(n_rows, n_cols=40, seed=5):
+    """A mesh of n_rows x n_cols normal draws, a fifth of them missing."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n_rows, n_cols))
+    z[rng.random(z.shape) < 0.2] = np.nan
+    return SurfaceMesh(n_x=n_cols, n_y=n_rows, spacing_x=0.1, spacing_y=0.2,
+                       origin_x=-2.0, origin_y=-7.5, z=z)
+
+
+def write_csv_of(mesh, path):
+    data._write_csv(path, [f"c{j}" for j in range(mesh.n_x)], list(mesh.z.T))
+
+
+class TestInPlaceRewrite:
+    """An existing regular file is rewritten in place, not truncated first."""
+
+    @pytest.mark.parametrize("old_rows", [300, 20])
+    @pytest.mark.parametrize("write", [write_mesh, write_csv_of])
+    def test_rewrite_leaves_the_bytes_of_a_fresh_write(self, tmp_path, write, old_rows):
+        # the old file is longer (300 rows) or shorter (20 rows) than the new one
+        mesh = noisy_mesh(150)
+        fresh, path = tmp_path / "fresh", tmp_path / "rewritten"
+        write(mesh, fresh)
+        write(noisy_mesh(old_rows, seed=6), path)
+        write(mesh, path)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_rewrite_keeps_mode_and_hard_links(self, tmp_path):
+        path, link = tmp_path / "mesh.txt", tmp_path / "link.txt"
+        write_mesh(noisy_mesh(30, seed=6), path)
+        path.chmod(0o600)
+        os.link(path, link)
+        write_mesh(noisy_mesh(30), path)
+        assert path.stat().st_mode & 0o777 == 0o600
+        assert link.read_bytes() == path.read_bytes()
+        assert np.array_equal(read_mesh(link).z, noisy_mesh(30).z, equal_nan=True)
+
+    def test_interrupted_rewrite_reads_as_an_empty_mesh(self, tmp_path, monkeypatch):
+        # same shape, so the new rows exactly cover the old ones: only the
+        # placeholder header tells a half-written file from a whole one
+        old, new = noisy_mesh(150, seed=6), noisy_mesh(150)
+        path = tmp_path / "mesh.txt"
+        write_mesh(old, path)
+        format_block, calls = data._format_block, []
+
+        def fail_on_second_call(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return format_block(*args)
+
+        monkeypatch.setattr(data, "_format_block", fail_on_second_call)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_mesh(new, path)
+        with pytest.raises(ParseError, match="empty mesh file"):
+            read_mesh(path)
+
+    def test_table_to_devnull(self):
+        write_mesh(noisy_mesh(150), os.devnull)
+        write_csv_of(noisy_mesh(20), os.devnull)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_csv_to_a_piped_stdout(self, tmp_path):
+        # a pipe cannot seek or truncate: the header goes first, as it always did
+        src = os.path.dirname(os.path.dirname(data.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "corneafit", "solve", "--a", "2", "--b", "2",
+             "--n-nodes", "5", "--out", "/dev/stdout"],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("r,h,dh,h0,A_h1\n")
 
 
 class TestSynthetic:
