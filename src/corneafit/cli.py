@@ -11,15 +11,18 @@ be parsed back losslessly (the axial command reads the fit's report).
 Every command returns through _finish, so a command that exits non-zero
 leaves none of the files it opened or finished: the fit report is opened
 before any other file, and a write that raises takes every file already
-opened or written with it. A path that could not be opened is never
-removed, since it may be the user's file; a write that fails part-way
-through its own file (a full disk) is out of scope and leaves that file.
-timing_ms covers every file written before the report.
+opened or written with it. Only regular files are removed: a path that
+could not be opened, a FIFO, a device such as /dev/stdout or a symlink
+is never removed, since it may be the user's; a write that fails
+part-way through its own file (a full disk) is out of scope and leaves
+that file. timing_ms covers every file written before the report.
 
-Exit codes: 0 success; 1 I/O and parse failures; 2 numeric and domain
-failures (bad parameter values, bound violations, no convergence, no
-calibration root, no memory, floating-point overflow, division by zero or
-invalid operation, which main raises); 3 degenerate data (no apex or level curve).
+Exit codes: 0 success; 1 I/O and parse failures, a closed or failing
+stdout among them (one error line on stderr, no traceback); 2 numeric
+and domain failures (bad parameter values, bound violations, no
+convergence, no calibration root, no memory, floating-point overflow,
+division by zero or invalid operation, which main raises); 3 degenerate
+data (no apex or level curve).
 
 Under glibc, the first call of main in a process fixes the allocator's
 mmap threshold at 32 MiB and its trim threshold at 64 MiB, the most
@@ -38,6 +41,7 @@ import contextlib
 import errno
 import functools
 import os
+import stat
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -101,7 +105,9 @@ def _finish(command, start, entries, writes, report_path=None):
     """The RunReport of the ordered mapping entries. Its files are written
     all-or-nothing (see the module docstring): report_path, if any, opens
     first, then write(path) runs for each (path, write) pair in writes, in
-    order, and the report, timed up to here, goes into report_path last."""
+    order, and the report, timed up to here, goes into report_path last.
+    On failure each path already opened or written is removed when
+    os.lstat shows a regular file; a FIFO, device or symlink is kept."""
     handle = None if report_path is None else open(report_path, "w", encoding="ascii")
     done = [] if handle is None else [report_path]
     try:
@@ -114,7 +120,8 @@ def _finish(command, start, entries, writes, report_path=None):
                 handle.write(report.render())
     except BaseException:
         for path in done:
-            os.remove(path)
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
         raise
     return report
 
@@ -390,6 +397,18 @@ def _hold_freed_heap():
         mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+def _discard_stdout():
+    """Point stdout's file descriptor, if it has one, at the null device,
+    so the interpreter's flush at exit finds nowhere to fail."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None):
     _hold_freed_heap()
     try:
@@ -399,11 +418,16 @@ def main(argv=None):
     del args["command"]
     run = args.pop("run")
 
+    report = None
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             report = run(**args)
+        sys.stdout.write(report.render())
+        sys.stdout.flush()
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if report is not None:
+            _discard_stdout()
         return 1
     except (ApexNotFound, DegenerateLevelSet) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -412,6 +436,4 @@ def main(argv=None):
             HypothesisViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    sys.stdout.write(report.render())
     return 0

@@ -35,7 +35,7 @@ import numpy as np
 from .data import SurfaceMesh
 from .errors import ApexNotFound, DegenerateLevelSet, NoConvergence, NoRoot, _check_positive
 from .kernel import ModelParams, _dh0_values, _h0_values
-from .special import bessel_i
+from .special import _scalar_like, bessel_i
 
 
 @dataclass(frozen=True)
@@ -244,9 +244,7 @@ def elliptical_radius(x, y, ellipse):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.sqrt((x / ellipse.semi_axis_x) ** 2 + (y / ellipse.semi_axis_y) ** 2)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_like(out, out)
 
 
 def _measure_apex(mesh, options):
@@ -366,7 +364,7 @@ def _level_curve_points(mesh, center, level):
     return u, v
 
 
-def estimate_ellipse(mesh, level_fraction=0.5, *, center=None, level=None):
+def estimate_ellipse(mesh, level_fraction=FitOptions.level_fraction, *, center=None, level=None):
     """Fit an axis-aligned ellipse to a level curve of the elevation.
 
     The curve at level_fraction x (apex height) is located by linear

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _check_positive
-from .special import bessel_i, bessel_k
+from .special import _scalar_like, bessel_i, bessel_k
 
 # Lipschitz constant of P(x) = 1/sqrt(1+x^2): max |P'| = 2/(3 sqrt(3)).
 LIPSCHITZ_M = 2.0 / (3.0 * math.sqrt(3.0))
@@ -169,12 +169,6 @@ def _i0_rise_over_a(a, r):
     return (1.0 - r) * (1.0 + r) * total
 
 
-def _scalar_like(out, r):
-    if np.ndim(r) == 0:
-        return float(out)
-    return out
-
-
 class _Bessel:
     """I0 and I1 of sqrt(a) r on the nodes r (i0_r, i1_r) and I0, I1 and
     K0 of sqrt(a) (i0, i1, k0). A value given to the constructor is kept;
@@ -219,7 +213,7 @@ def v0(r, a):
     """I0(sqrt(a) r) on [0, 1]; positive, nondecreasing, v0(0) = 1."""
     arr = _check_r(r, "v0", exclude_zero=False)
     a = _check_a(a)
-    return _scalar_like(bessel_i(0, math.sqrt(a) * arr), r)
+    return bessel_i(0, math.sqrt(a) * arr)
 
 
 def v1(r, a, *, _bessel=None):
@@ -232,8 +226,7 @@ def v1(r, a, *, _bessel=None):
     arr = _check_r(r, "v1", exclude_zero=True)
     sa = math.sqrt(_check_a(a))
     bv = _bessel or _Bessel(sa, arr)
-    out = bv.i0 * bessel_k(0, sa * arr, _i_z=bv.i0_r) - bv.i0_r * bv.k0
-    return _scalar_like(out, r)
+    return bv.i0 * bessel_k(0, sa * arr, _i_z=bv.i0_r) - bv.i0_r * bv.k0
 
 
 def dv0(r, a, *, _bessel=None):
@@ -243,7 +236,7 @@ def dv0(r, a, *, _bessel=None):
     """
     arr = _check_r(r, "dv0", exclude_zero=False)
     sa = math.sqrt(_check_a(a))
-    return _scalar_like(sa * (_bessel or _Bessel(sa, arr)).i1_r, r)
+    return sa * (_bessel or _Bessel(sa, arr)).i1_r
 
 
 def dv1(r, a, *, _bessel=None):
@@ -256,8 +249,7 @@ def dv1(r, a, *, _bessel=None):
     arr = _check_r(r, "dv1", exclude_zero=True)
     sa = math.sqrt(_check_a(a))
     bv = _bessel or _Bessel(sa, arr)
-    out = -sa * (bv.i0 * bessel_k(1, sa * arr, _i_z=bv.i1_r) + bv.i1_r * bv.k0)
-    return _scalar_like(out, r)
+    return -sa * (bv.i0 * bessel_k(1, sa * arr, _i_z=bv.i1_r) + bv.i1_r * bv.k0)
 
 
 def bound_constants(params):

@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import (BoundViolation, HypothesisViolation, NoConvergence, _check_count,
                      _check_positive, _check_size)
-from .kernel import (LIPSCHITZ_M, AdmissibilityReport, ModelParams, _Bessel, _dh0_values,
+from .kernel import (LIPSCHITZ_M, AdmissibilityReport, _Bessel, _dh0_values,
                      _h0_values, admissibility, dv0, dv1, v0, v1)
 from .special import bessel_i, bessel_k
 
@@ -164,7 +164,6 @@ class _SolverPlan:
     r = 0, where their entries are 0.0: each multiplies the v1 term's
     integral from 0 to r, which is 0 there, and t v1 -> 0 as t -> 0."""
 
-    params: ModelParams
     grid: RadialGrid
     admissibility_report: AdmissibilityReport
     i0: float  # I0(sqrt(a))
@@ -193,7 +192,6 @@ class _SolverPlan:
         bessel_pos = _Bessel(sa, r[1:], i0_r=v0_all[1:], i1_r=i1_r[1:], **at_sa)
         v1_all = np.concatenate(([0.0], v1(r[1:], a, _bessel=bessel_pos)))
         return cls(
-            params=params,
             grid=grid,
             admissibility_report=admissibility(params, _bessel=bessel),
             i0=i0,

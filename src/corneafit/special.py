@@ -20,10 +20,11 @@ Each function has two rules, and the relative error stays at or below
   rule converges exponentially and these 21 nodes reach rounding error;
   the I rule needs 2z above the largest w^2 = 49, which z > 30 keeps.
 
-All functions accept scalars or numpy arrays elementwise and return the
-matching kind; every element of an array call carries the bits of its
-scalar call. Domain violations raise ValueError. K's domain starts at
-the smallest normal double, where K0 ~ 708.5 and K1 ~ 4.5e307 are finite.
+Each function computes on its argument's own array and returns by one
+rule, _scalar_like: a scalar (np.ndim 0) gives a Python float, an array
+an array of its shape; each element carries the bits of its scalar call.
+Domain violations raise ValueError. K's domain starts at the smallest
+normal double, where K0 ~ 708.5 and K1 ~ 4.5e307 are finite.
 """
 
 import numpy as np
@@ -47,20 +48,19 @@ _FACTORIAL = (1.0, 1.0, 2.0)
 
 
 def _prepare(z, name, minimum):
-    """Flatten to 1-D float64, validating finiteness and z >= minimum."""
+    """z as a float64 array, validating finiteness and z >= minimum."""
     arr = np.asarray(z, dtype=float)
-    flat = arr.ravel()
-    if flat.size and not np.isfinite(flat).all():
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} requires finite arguments")
-    if flat.size and (flat < minimum).any():
+    if (arr < minimum).any():
         raise ValueError(f"{name} requires z >= {minimum!r}")
-    return arr, flat
+    return arr
 
 
-def _restore(out, arr):
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+def _scalar_like(out, arg):
+    if np.ndim(arg) == 0:
+        return float(out)
+    return out
 
 
 def _i_series(nu, z):
@@ -128,15 +128,15 @@ def bessel_i(nu, z):
     """
     if nu not in (0, 1, 2):
         raise ValueError(f"bessel_i supports orders 0, 1, 2, got {nu!r}")
-    arr, flat = _prepare(z, "bessel_i", 0.0)
-    out = np.empty_like(flat)
-    small = flat <= _I_SERIES_MAX
+    arr = _prepare(z, "bessel_i", 0.0)
+    out = np.empty_like(arr)
+    small = arr <= _I_SERIES_MAX
     if small.any():
-        out[small] = _i_series(nu, flat[small])
+        out[small] = _i_series(nu, arr[small])
     large = ~small
     if large.any():
-        out[large] = _large_argument(nu, flat[large], -1.0) / np.pi
-    return _restore(out, arr)
+        out[large] = _large_argument(nu, arr[large], -1.0) / np.pi
+    return _scalar_like(out, z)
 
 
 def bessel_k(nu, z, *, _i_z=None):
@@ -152,20 +152,20 @@ def bessel_k(nu, z, *, _i_z=None):
     """
     if nu not in (0, 1):
         raise ValueError(f"bessel_k supports orders 0 and 1 only, got {nu!r}")
-    arr, flat = _prepare(z, "bessel_k", _K_MIN)
-    out = np.empty_like(flat)
-    small = flat <= _K_SERIES_MAX
+    arr = _prepare(z, "bessel_k", _K_MIN)
+    out = np.empty_like(arr)
+    small = arr <= _K_SERIES_MAX
     if small.any():
-        z_small = flat[small]
+        z_small = arr[small]
         if _i_z is None:
             i_small = _i_series(nu, z_small)
         else:
-            i_small = np.asarray(_i_z, dtype=float).ravel()[small]
+            i_small = np.asarray(_i_z, dtype=float)[small]
         out[small] = _k_series(nu, z_small, i_small)
     large = ~small
     if large.any():
-        out[large] = _large_argument(nu, flat[large], +1.0)
-    return _restore(out, arr)
+        out[large] = _large_argument(nu, arr[large], +1.0)
+    return _scalar_like(out, z)
 
 
 def wronskian_defect(z):
@@ -174,10 +174,6 @@ def wronskian_defect(z):
     The magnitude of the returned value measures the joint accuracy of
     the four evaluators; it stays within 1e-10 on [0.05, 50].
     """
-    arr, flat = _prepare(z, "wronskian_defect", _K_MIN)
-    out = (
-        bessel_i(0, flat) * bessel_k(1, flat)
-        + bessel_i(1, flat) * bessel_k(0, flat)
-        - 1.0 / flat
-    )
-    return _restore(out, arr)
+    arr = _prepare(z, "wronskian_defect", _K_MIN)
+    out = bessel_i(0, arr) * bessel_k(1, arr) + bessel_i(1, arr) * bessel_k(0, arr) - 1.0 / arr
+    return _scalar_like(out, z)

@@ -2,9 +2,12 @@
 
 import dataclasses
 import errno
+import io
 import os
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -451,6 +454,43 @@ class TestBadInputFiles:
         assert "d.txt.errors" in stderr
         assert not out.exists()
         assert (tmp_path / "d.txt.errors").read_text() == "kept\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_failed_command_keeps_a_fifo_output(self, capsys, tmp_path):
+        # only regular files are removed: the d-field goes into a FIFO that
+        # a reader drains, then the .errors grid fails on a directory
+        mesh_path, fit_path = fit_report(capsys, tmp_path)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        (tmp_path / "pipe.errors").mkdir()
+        received = []
+
+        def drain():
+            with open(pipe, "rb") as handle:
+                received.append(handle.read())
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        code, _, stderr = run(capsys, "axial", "--mesh", str(mesh_path), "--fit", str(fit_path),
+                              "--out", str(pipe))
+        reader.join(timeout=30)
+        assert code == 1
+        assert stderr == f"error: [Errno {errno.EISDIR}] Is a directory: '{pipe}.errors'\n"
+        assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
+        assert not reader.is_alive() and received[0].startswith(b"61 61 ")
+
+    def test_failed_command_keeps_a_symlink_output(self, capsys, tmp_path):
+        mesh_path, fit_path = fit_report(capsys, tmp_path)
+        target, link = tmp_path / "target.txt", tmp_path / "link"
+        target.write_text("old\n")
+        os.symlink(target, link)
+        (tmp_path / "link.errors").mkdir()
+        code, _, stderr = run(capsys, "axial", "--mesh", str(mesh_path), "--fit", str(fit_path),
+                              "--out", str(link))
+        assert code == 1
+        assert stderr.startswith("error:") and "link.errors" in stderr
+        assert os.path.islink(link) and os.readlink(link) == str(target)
+        assert data.read_mesh(str(target)).z.shape == (61, 61)
 
     def test_unparsable_report_value_exits_1_naming_the_key(self, capsys, tmp_path):
         mesh_path, fit_path = fit_report(capsys, tmp_path)
@@ -1011,6 +1051,60 @@ def test_python_dash_m_runs_the_cli(capsys, tmp_path):
                for text in (result.stdout, stdout)]
     assert len(reports[0]) > 1 and reports[0] == reports[1]
     assert module_run("solve", "--a", "-1", "--b", "2").returncode == 2
+
+
+def closed_stdout_run(tmp_path, *argv):
+    """python -m corneafit argv with stdout a pipe whose read end is closed."""
+    src = os.path.dirname(os.path.dirname(corneafit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "corneafit", *argv], cwd=tmp_path, env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--a", "2", "--b", "2"],
+    pytest.param(["solve", "--a", "2", "--b", "2", "--n-nodes", "4001", "--out", "/dev/stdout"],
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                                          reason="no /dev/stdout here")),
+], ids=["report", "csv"])
+def test_closed_stdout_exits_1_with_one_error_line(tmp_path, argv):
+    # the report write (or, with --out /dev/stdout, the CSV write before it)
+    # fails on the closed pipe; nothing else may reach stderr, not even the
+    # interpreter's flush of stdout at exit
+    result = closed_stdout_run(tmp_path, *argv)
+    assert result.returncode == 1
+    assert result.stderr == f"error: [Errno {errno.EPIPE}] Broken pipe\n"
+
+
+def test_failing_stdout_write_returns_1(capsys, monkeypatch):
+    # an in-process stdout has no file descriptor to point elsewhere
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["solve", "--a", "2", "--b", "2"]) == 1
+    assert capsys.readouterr().err == f"error: [Errno {errno.EPIPE}] Broken pipe\n"
+
+
+def test_failed_stdout_descriptor_is_pointed_at_the_null_device(capsys, monkeypatch):
+    # whatever the interpreter still holds for stdout, its flush at exit
+    # then writes to the null device instead of failing on the pipe again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["solve", "--a", "2", "--b", "2"]) == 1
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        stdout.write("after\n")
+        stdout.flush()
+    assert capsys.readouterr().err == f"error: [Errno {errno.EPIPE}] Broken pipe\n"
 
 
 def test_cli_import_loads_no_scipy():

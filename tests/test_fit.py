@@ -203,6 +203,22 @@ class TestEllipticalRadius:
         assert out.shape == (2, 2)
         np.testing.assert_allclose(out, math.sqrt(2.0) * x, rtol=1e-14)
 
+    def test_return_rule(self):
+        # special's rule: a scalar pair gives a Python float, arrays an
+        # array of their broadcast shape with the scalar calls' bits
+        ellipse = DomainEllipse.from_signed_ecc_sq(0.0234)
+        for x in (np.float64(0.3), np.array(0.3)):
+            value = elliptical_radius(x, np.array(-0.4), ellipse)
+            assert type(value) is float and value == elliptical_radius(0.3, -0.4, ellipse)
+        x = np.array([[0.1, -0.0, 2.0], [0.3, 0.4, -1.5]])
+        out = elliptical_radius(x, 0.25, ellipse)
+        assert type(out) is np.ndarray and out.shape == (2, 3)
+        scalars = np.array([elliptical_radius(float(v), 0.25, ellipse) for v in x.ravel()])
+        assert out.tobytes() == scalars.reshape(2, 3).tobytes()
+        for shape in ((0,), (0, 3)):
+            out = elliptical_radius(np.empty(shape), np.empty(shape), ellipse)
+            assert type(out) is np.ndarray and out.shape == shape
+
 
 class TestMeasureApex:
     def test_recovers_apex_height_and_radius(self):

@@ -328,6 +328,44 @@ class TestBoundsOnArrays:
             table(0.5, np.array([1.0, 2.0]))
 
 
+# r on both sides of the K split sqrt(a) r = 3 at a = 900 and up to r = 1
+RULE_R = np.array([[1e-9, 0.1, 0.1 + 2**-55], [0.5, 0.999, 1.0]])
+
+
+class TestTablesAndBoundsReturnRule:
+    # the tables and bounds return through special's one rule: a scalar
+    # argument gives a Python float, an array an array of its shape
+
+    @pytest.mark.parametrize("a", [5e-7, 2.0, 900.0, 1.25e5])
+    @pytest.mark.parametrize("table", [v0, v1, dv0, dv1])
+    def test_tables_match_their_scalar_calls(self, table, a):
+        for r in (np.float64(0.5), np.array(0.5)):
+            value = table(r, a)
+            assert type(value) is float and value == table(0.5, a)
+        out = table(RULE_R, a)
+        assert type(out) is np.ndarray and out.shape == (2, 3)
+        scalars = np.array([table(float(r), a) for r in RULE_R.ravel()]).reshape(2, 3)
+        assert out.tobytes() == scalars.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    @pytest.mark.parametrize("fn", [lambda x: v0(x, 2.0), lambda x: v1(x, 2.0),
+                                    lambda x: dv0(x, 2.0), lambda x: dv1(x, 2.0),
+                                    theorem1_b_max, lemma_b_max],
+                             ids=["v0", "v1", "dv0", "dv1", "theorem1_b_max", "lemma_b_max"])
+    def test_empty_array_gives_an_empty_array_of_its_shape(self, fn, shape):
+        out = fn(np.empty(shape))
+        assert type(out) is np.ndarray and out.shape == shape
+
+    @pytest.mark.parametrize("bound", [theorem1_b_max, lemma_b_max])
+    def test_bounds_2x3_array_keeps_the_scalar_bits(self, bound):
+        # both sides of lemma_b_max's series switch at a = 1e-6
+        grid = np.array([[5e-7, 1e-6, 2.0], [900.0, 1e4, 1.25e5]])
+        out = bound(grid)
+        assert out.shape == (2, 3)
+        scalars = np.array([bound(float(a)) for a in grid.ravel()]).reshape(2, 3)
+        assert out.tobytes() == scalars.tobytes()
+
+
 class TestAdmissibility:
     @pytest.mark.parametrize("a,b", PAPER_PAIRS)
     def test_reference_pairs_admissible(self, a, b):

@@ -280,6 +280,39 @@ class TestShapeAndLimits:
         assert bessel_i(0, np.array([])).size == 0
 
 
+# every entry point of the scalar-or-array return rule, as a function of z
+RULE_CALLS = {
+    **{f"I{nu}": (lambda z, nu=nu: bessel_i(nu, z)) for nu in (0, 1, 2)},
+    **{f"K{nu}": (lambda z, nu=nu: bessel_k(nu, z)) for nu in (0, 1)},
+    **{f"K{nu}_with_i_z": (lambda z, nu=nu: bessel_k(nu, z, _i_z=bessel_i(nu, z)))
+       for nu in (0, 1)},
+    "wronskian_defect": wronskian_defect,
+}
+# both sides of the K split at 3 and the I split at 30, and K's least z
+RULE_GRID = np.array([[2.2250738585072014e-308, 3.0, np.nextafter(3.0, 4.0)],
+                      [np.nextafter(30.0, 0.0), 30.0, 31.0]])
+
+
+@pytest.mark.parametrize("call", RULE_CALLS.values(), ids=RULE_CALLS.keys())
+class TestOneReturnRule:
+    @pytest.mark.parametrize("z", [np.float64(2.5), np.array(2.5), np.float64(31.0),
+                                   np.array(31.0)], ids=["f64", "0d", "f64_large", "0d_large"])
+    def test_numpy_scalar_and_0d_array_give_a_python_float(self, call, z):
+        value = call(z)
+        assert type(value) is float and value == call(float(z))
+
+    def test_2x3_array_keeps_its_shape_and_the_scalar_bits(self, call):
+        out = call(RULE_GRID)
+        assert type(out) is np.ndarray and out.shape == (2, 3)
+        scalars = np.array([call(float(z)) for z in RULE_GRID.ravel()]).reshape(2, 3)
+        assert out.tobytes() == scalars.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_array_gives_an_empty_array_of_its_shape(self, call, shape):
+        out = call(np.empty(shape))
+        assert type(out) is np.ndarray and out.shape == shape
+
+
 class TestDomainErrors:
     def test_i_rejects_negative(self):
         with pytest.raises(ValueError):
