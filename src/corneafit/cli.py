@@ -22,7 +22,8 @@ stdout among them (one error line on stderr, no traceback); 2 numeric
 and domain failures (bad parameter values, bound violations, no
 convergence, no calibration root, no memory, floating-point overflow,
 division by zero or invalid operation, which main raises); 3 degenerate
-data (no apex or level curve).
+data (no apex or level curve). A warning, such as solve's past the
+contraction bound, is one `warning:` line on stderr and keeps exit 0.
 
 Under glibc, the first call of main in a process fixes the allocator's
 mmap threshold at 32 MiB and its trim threshold at 64 MiB, the most
@@ -44,6 +45,7 @@ import os
 import stat
 import sys
 import time
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -409,6 +411,12 @@ def _discard_stdout():
     os.close(devnull)
 
 
+def _format_warning(message, category, filename, lineno, line=None):
+    """A warning as one stderr line, like an error; main sets it while a
+    command runs."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None):
     _hold_freed_heap()
     try:
@@ -419,6 +427,7 @@ def main(argv=None):
     run = args.pop("run")
 
     report = None
+    format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             report = run(**args)
@@ -436,4 +445,6 @@ def main(argv=None):
             HypothesisViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = format_warning
     return 0

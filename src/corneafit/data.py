@@ -90,6 +90,17 @@ _MIX_2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
+def _check_grid(n_x, n_y, spacing_x, spacing_y, origin_x, origin_y):
+    """SurfaceMesh's grid rule, which read_mesh applies to its header:
+    2 or more samples a side, positive finite spacings, a finite origin."""
+    _check_count("n_x", n_x, 2)
+    _check_count("n_y", n_y, 2)
+    _check_positive("spacing_x", spacing_x)
+    _check_positive("spacing_y", spacing_y)
+    if not (math.isfinite(origin_x) and math.isfinite(origin_y)):
+        raise ValueError("mesh origin must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class SurfaceMesh:
     n_x: int
@@ -104,12 +115,8 @@ class SurfaceMesh:
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
         object.__setattr__(self, "z", z)
-        _check_count("n_x", self.n_x, 2)
-        _check_count("n_y", self.n_y, 2)
-        _check_positive("spacing_x", self.spacing_x)
-        _check_positive("spacing_y", self.spacing_y)
-        if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
-            raise ValueError("mesh origin must be finite")
+        _check_grid(self.n_x, self.n_y, self.spacing_x, self.spacing_y,
+                    self.origin_x, self.origin_y)
         if z.shape != (self.n_y, self.n_x):
             raise ValueError(f"z must have shape (n_y, n_x) = {(self.n_y, self.n_x)}")
         finite = np.isfinite(z)
@@ -264,18 +271,10 @@ def read_mesh(path):
         _raise_first_error([(1, lines[0])], 6)
     try:
         rows, cols = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError("header rows/cols must be integers", line=1) from None
-    try:
         spacing_x, spacing_y, origin_x, origin_y = map(float, header[2:])
-        _check_positive("spacing_x", spacing_x)
-        _check_positive("spacing_y", spacing_y)
+        _check_grid(cols, rows, spacing_x, spacing_y, origin_x, origin_y)
     except ValueError as exc:
         raise ParseError(f"bad header: {exc}", line=1) from None
-    if rows < 2 or cols < 2:
-        raise ParseError("header declares fewer than 2 rows or columns", line=1)
-    if not (math.isfinite(origin_x) and math.isfinite(origin_y)):
-        raise ParseError("header origins must be finite", line=1)
 
     body = [(number, line) for number, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(body) != rows:

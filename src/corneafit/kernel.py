@@ -21,6 +21,7 @@ v1 diverges logarithmically at r = 0 and is refused there; the solver
 owns the origin limits (the enclosing integrals stay finite).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -171,23 +172,20 @@ def _i0_rise_over_a(a, r):
 
 class _Bessel:
     """I0 and I1 of sqrt(a) r on the nodes r (i0_r, i1_r) and I0, I1 and
-    K0 of sqrt(a) (i0, i1, k0). A value given to the constructor is kept;
-    any other is evaluated on first use, so a public function that builds
-    its own record evaluates only what it reads. The solver plan fills
-    one from the values it already holds."""
+    K0 of sqrt(a) (i0, i1, k0). A value given to the constructor shadows
+    its cached_property; any other is evaluated on first use, so a public
+    function that builds its own record evaluates only what it reads. The
+    solver plan fills one from the values it already holds."""
 
     def __init__(self, sa, r=None, **values):
         self.sa, self.r = sa, r
         vars(self).update(values)
 
-    def __getattr__(self, name):
-        # reached only for a value not stored yet
-        if name not in ("i0_r", "i1_r", "i0", "i1", "k0"):
-            raise AttributeError(name)
-        z = self.sa * self.r if name.endswith("_r") else self.sa
-        value = (bessel_k if name == "k0" else bessel_i)(int(name[1]), z)
-        setattr(self, name, value)
-        return value
+    i0_r = functools.cached_property(lambda self: bessel_i(0, self.sa * self.r))
+    i1_r = functools.cached_property(lambda self: bessel_i(1, self.sa * self.r))
+    i0 = functools.cached_property(lambda self: bessel_i(0, self.sa))
+    i1 = functools.cached_property(lambda self: bessel_i(1, self.sa))
+    k0 = functools.cached_property(lambda self: bessel_k(0, self.sa))
 
 
 def _h0_values(params, r, bessel=None):

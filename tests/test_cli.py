@@ -1053,6 +1053,19 @@ def test_python_dash_m_runs_the_cli(capsys, tmp_path):
     assert module_run("solve", "--a", "-1", "--b", "2").returncode == 2
 
 
+def test_warning_is_one_stderr_line(tmp_path):
+    # b = 5 is past theorem1_b_max(2) = 3.0011, so solve warns and still
+    # exits 0; the warning names no file, line or source text
+    src = os.path.dirname(os.path.dirname(corneafit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-m", "corneafit", "solve", "--a", "2", "--b", "5"],
+                            cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ("warning: parameters violate the contraction bound; "
+                             "iterating without a guarantee\n")
+
+
 def closed_stdout_run(tmp_path, *argv):
     """python -m corneafit argv with stdout a pipe whose read end is closed."""
     src = os.path.dirname(os.path.dirname(corneafit.__file__))
@@ -1164,6 +1177,24 @@ def test_main_runs_where_no_glibc_is_reported(capsys, monkeypatch):
         cli._hold_freed_heap.cache_clear()
     assert code == 0 and parse_report(stdout)["command"] == "solve"
     assert asked == ["CS_GNU_LIBC_VERSION"]
+
+
+@pytest.mark.parametrize("libc", [None, "musl 1.2.4"])
+def test_main_leaves_a_libc_other_than_glibc_alone(capsys, monkeypatch, libc):
+    # confstr answers, but not with glibc: no library is loaded
+    import ctypes
+
+    def cdll(*args, **kwargs):
+        raise AssertionError(f"ctypes.CDLL{args} called under {libc!r}")
+
+    monkeypatch.setattr(os, "confstr", lambda name: libc, raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    cli._hold_freed_heap.cache_clear()
+    try:
+        code, stdout, _ = run(capsys, "solve", "--a", "2", "--b", "2")
+    finally:
+        cli._hold_freed_heap.cache_clear()
+    assert code == 0 and parse_report(stdout)["command"] == "solve"
 
 
 def test_every_command_and_fd_oracle_run_with_scipy_blocked(tmp_path):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corneafit import data
+from corneafit import cli, data
 from corneafit.data import (
     SurfaceMesh,
     SynthSpec,
@@ -128,6 +128,27 @@ class TestTextFormat:
         with pytest.raises(ParseError) as excinfo:
             read_mesh(path)
         assert excinfo.value.line == 1
+
+    @pytest.mark.parametrize("text", [
+        "2 1 1.0 1.0 0.0 0.0\n1.0\n2.0\n",
+        "2 2 0.0 1.0 0.0 0.0\n1.0 2.0\n3.0 4.0\n",
+        "0 2 1.0 1.0 0.0 0.0\n",
+        "-2 2 1.0 1.0 0.0 0.0\n1.0 2.0\n3.0 4.0\n",
+        "2 2.5 1.0 1.0 0.0 0.0\n1.0 2.0\n3.0 4.0\n",
+        "2 2 1.0 1.0 0.0 0.0 0.0\n1.0 2.0\n3.0 4.0\n",
+        "1_0 2 1.0 1.0 0.0 0.0\n1.0 2.0\n3.0 4.0\n",
+    ], ids=["one-column", "zero-spacing", "zero-rows", "negative-rows", "fractional-columns",
+            "seven-fields", "digit-separator"])
+    def test_header_refusal_is_a_line_1_error_and_fit_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "mesh.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as excinfo:
+            read_mesh(path)
+        assert excinfo.value.line == 1
+        assert cli.main(["fit", "--mesh", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {excinfo.value}\n"
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "mesh.txt"
