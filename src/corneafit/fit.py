@@ -101,9 +101,10 @@ class DomainEllipse:
 
 def _check_gradient_floor(floor):
     # below 2**-511 the floor's square is subnormal or 0, so a zero
-    # gradient would pass it and 1/|grad h|^2 would divide by zero
-    if not 2.0**-511 <= floor < math.inf:
-        raise ValueError("gradient_floor must be finite and at least 2**-511")
+    # gradient would pass it and 1/|grad h|^2 would divide by zero; from
+    # 2**512 up the square overflows a double
+    if not 2.0**-511 <= floor < 2.0**512:
+        raise ValueError(f"gradient_floor must lie in [2**-511, 2**512), got {floor!r}")
 
 
 @dataclass(frozen=True)
@@ -510,7 +511,8 @@ def axial_distance_map(mesh_or_model, ellipse, gradient_floor=FitOptions.gradien
     using the given ellipse, defined where rel <= 1. Points with
     gradient norm below gradient_floor come out NaN, not raised: the
     formula diverges at the apex. Raises ValueError when gradient_floor
-    is not finite or lies below 2**-511 (about 1.5e-154).
+    lies below 2**-511 (about 1.5e-154) or at or above 2**512 (about
+    1.3e154), or is NaN.
     """
     _check_gradient_floor(gradient_floor)
     if isinstance(mesh_or_model, ModelSurface):

@@ -438,6 +438,10 @@ def fd_oracle(params, grid, tol=None, *, linearize=False):
         raise ValueError(f"fd_oracle needs b M spacing <= 1, i.e. n_nodes - 1 >= M b = "
                          f"{b * LIPSCHITZ_M:.6g}, for a diagonally dominant Newton step")
     r_interior, r_mid_minus, r_mid_plus = _flux_nodes(r)
+    # the grid-fixed parts of the Newton matrix; each step adds the coupling
+    diag = np.append(4.0 / delta2 + a, (r_mid_plus + r_mid_minus) / (r_interior * delta2) + a)
+    flux_plus = -r_mid_plus / (r_interior * delta2)
+    flux_minus = -r_mid_minus / (r_interior * delta2)
 
     h = _h0_values(params, r)
     h[-1] = 0.0
@@ -453,19 +457,13 @@ def fd_oracle(params, grid, tol=None, *, linearize=False):
             dp = np.zeros_like(slope)
         else:
             dp = -slope * (1.0 + slope * slope) ** -1.5
-        diag = np.empty(n - 1)
-        diag[0] = 4.0 / delta2 + a
-        diag[1:] = (r_mid_plus + r_mid_minus) / (r_interior * delta2) + a
-        upper = np.empty(n - 2)
-        upper[0] = -4.0 / delta2
-        upper[1:] = (-r_mid_plus / (r_interior * delta2) - b * dp / (2.0 * delta))[:-1]
-        lower = -r_mid_minus / (r_interior * delta2) + b * dp / (2.0 * delta)
-        step = _solve_tridiagonal(lower, diag, upper, -f)
+        coupling = b * dp / (2.0 * delta)
+        upper = np.append(-4.0 / delta2, (flux_plus - coupling)[:-1])
+        step = _solve_tridiagonal(flux_minus + coupling, diag, upper, -f)
 
         scale = 1.0
         for _ in range(30):
-            trial = h.copy()
-            trial[:-1] = h[:-1] + scale * step
+            trial = np.append(h[:-1] + scale * step, 0.0)
             f_trial, slope_trial = _stencil_residual(params, grid, trial, linearize)
             sup_trial = float(np.max(np.abs(f_trial)))
             if sup_trial < sup:
@@ -477,6 +475,6 @@ def fd_oracle(params, grid, tol=None, *, linearize=False):
 
     dh = np.empty(n)
     dh[0] = 0.0
-    dh[1:-1] = (h[2:] - h[:-2]) / (2.0 * delta)
+    dh[1:-1] = slope
     dh[-1] = (3.0 * h[-1] - 4.0 * h[-2] + h[-3]) / (2.0 * delta)
     return RadialProfile(grid=grid, h=h, dh=dh)

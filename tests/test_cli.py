@@ -593,6 +593,23 @@ class TestSilentFailuresExitLoudly:
         assert [str(warning.message) for warning in caught] == []
 
     @pytest.mark.parametrize("command", ["fit", "axial"])
+    def test_overflowing_gradient_floor_exits_2_without_warning(self, capsys, tmp_path,
+                                                                command):
+        # 1e200 squared overflows a double
+        mesh_path = tmp_path / "mesh.txt"
+        run(capsys, "synth", "--a", "2", "--b", "2", "--n-x", "41", "--n-y", "41",
+            "--seed", "3", "--noise-sigma", "0.01", "--out", str(mesh_path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run(capsys, command, "--mesh", str(mesh_path),
+                                       "--gradient-floor", "1e200")
+        assert code == 2
+        assert stdout == ""
+        assert stderr.count("\n") == 1
+        assert stderr.startswith("error:") and "gradient_floor" in stderr
+        assert [str(warning.message) for warning in caught] == []
+
+    @pytest.mark.parametrize("command", ["fit", "axial"])
     def test_oversized_mesh_header_exits_1_naming_the_row(self, capsys, tmp_path, command):
         mesh_path = tmp_path / "mesh.txt"
         mesh_path.write_text("2 1000000000000 1.0 1.0 0.0 0.0\n1.0 2.0\n3.0 4.0\n")

@@ -420,6 +420,29 @@ class TestAxialDistanceMap:
             with pytest.raises(ValueError, match="gradient_floor"):
                 axial_distance_map(source, CIRCLE, gradient_floor=np.nextafter(floor, 0.0))
 
+    @pytest.mark.parametrize("floor", [2.0**512, 1e200, 1.7e308])
+    def test_gradient_floor_whose_square_overflows_is_refused(self, floor):
+        # the square of 2**512 is past the largest double
+        mesh = sphere_cap(n=61)
+        model = ModelSurface(params=ModelParams(a=2.0, b=2.0), scale_radius=4.0,
+                             template=mesh)
+        with pytest.raises(ValueError, match="gradient_floor"):
+            FitOptions(gradient_floor=floor)
+        for source in (mesh, model):
+            with pytest.raises(ValueError, match="gradient_floor"):
+                axial_distance_map(source, CIRCLE, gradient_floor=floor)
+
+    def test_largest_gradient_floor_is_accepted(self):
+        # one step below 2**512 the square is still a finite double, and
+        # every gradient lies below it
+        floor = math.nextafter(2.0**512, 0.0)
+        mesh = sphere_cap(n=61)
+        model = ModelSurface(params=ModelParams(a=2.0, b=2.0), scale_radius=4.0,
+                             template=mesh)
+        assert FitOptions(gradient_floor=floor).gradient_floor == floor
+        for source in (mesh, model):
+            assert np.all(np.isnan(axial_distance_map(source, CIRCLE, gradient_floor=floor)))
+
     def test_fit_options_refuse_an_infinite_gradient_floor(self):
         with pytest.raises(ValueError, match="gradient_floor"):
             FitOptions(gradient_floor=math.inf)

@@ -214,6 +214,17 @@ class TestPicardStep:
         with pytest.raises(ValueError):
             picard_step(TWO_TWO, RadialProfile(grid=grid, h=base.h, dh=bad_dh))
 
+    def test_non_finite_result_rejected(self):
+        # h0's slope overflows to -inf here, so P - 1 is a finite -1 but the
+        # step's h' is not; the step must refuse, not return infinities
+        grid = RadialGrid.uniform(11)
+        params = ModelParams(a=1.25e5, b=1.7e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = h0_profile(params, grid)
+            assert np.all(np.isfinite(1.0 / np.sqrt(1.0 + base.dh * base.dh)))
+            with pytest.raises(ValueError, match="non-finite result in Picard quadrature"):
+                picard_step(params, base)
+
 
 class TestSolve:
     def test_converges_at_reference_parameters(self):
@@ -771,3 +782,111 @@ class TestFdOracle:
     def test_boundary_conditions(self):
         profile = fd_oracle(TWO_TWO, RadialGrid.uniform(101))
         assert profile.h[-1] == 0.0 and profile.dh[0] == 0.0
+
+
+def per_step_matrix_oracle(params, grid, tol=None, *, linearize=False):
+    # fd_oracle as written when every Newton step rebuilt the matrix's
+    # grid-fixed diagonal and flux weights, every line-search trial copied
+    # h, and the returned slope was differenced again from h
+    if tol is not None:
+        solver._check_positive("tol", tol)
+    r = grid.nodes
+    n = grid.n_nodes
+    delta = grid.spacing
+    delta2 = delta * delta
+    a, b = params.a, params.b
+    if not linearize and b * solver.LIPSCHITZ_M * delta > 1.0:
+        raise ValueError(f"fd_oracle needs b M spacing <= 1, i.e. n_nodes - 1 >= M b = "
+                         f"{b * solver.LIPSCHITZ_M:.6g}, for a diagonally dominant Newton step")
+    r_interior, r_mid_minus, r_mid_plus = solver._flux_nodes(r)
+
+    h = kernel._h0_values(params, r)
+    h[-1] = 0.0
+    if tol is None:
+        floor = np.finfo(float).eps * float(np.max(np.abs(h))) / delta2
+        tol = max(1e-10, solver._FD_FLOOR_FACTOR * floor)
+    f, slope = solver._stencil_residual(params, grid, h, linearize)
+    sup = float(np.max(np.abs(f)))
+    for _ in range(50):
+        if sup <= tol:
+            break
+        if linearize:
+            dp = np.zeros_like(slope)
+        else:
+            dp = -slope * (1.0 + slope * slope) ** -1.5
+        diag = np.empty(n - 1)
+        diag[0] = 4.0 / delta2 + a
+        diag[1:] = (r_mid_plus + r_mid_minus) / (r_interior * delta2) + a
+        upper = np.empty(n - 2)
+        upper[0] = -4.0 / delta2
+        upper[1:] = (-r_mid_plus / (r_interior * delta2) - b * dp / (2.0 * delta))[:-1]
+        lower = -r_mid_minus / (r_interior * delta2) + b * dp / (2.0 * delta)
+        step = solver._solve_tridiagonal(lower, diag, upper, -f)
+
+        scale = 1.0
+        for _ in range(30):
+            trial = h.copy()
+            trial[:-1] = h[:-1] + scale * step
+            f_trial, slope_trial = solver._stencil_residual(params, grid, trial, linearize)
+            sup_trial = float(np.max(np.abs(f_trial)))
+            if sup_trial < sup:
+                break
+            scale *= 0.5
+        h, f, slope, sup = trial, f_trial, slope_trial, sup_trial
+    else:
+        raise NoConvergence(f"Newton stalled at residual {sup:g} (tol {tol:g})")
+
+    dh = np.empty(n)
+    dh[0] = 0.0
+    dh[1:-1] = (h[2:] - h[:-2]) / (2.0 * delta)
+    dh[-1] = (3.0 * h[-1] - 4.0 * h[-2] + h[-3]) / (2.0 * delta)
+    return RadialProfile(grid=grid, h=h, dh=dh)
+
+
+def _outcome(oracle, *args, **kwargs):
+    # the profile, or the type and message of what the call raised
+    try:
+        return oracle(*args, **kwargs)
+    except (ValueError, NoConvergence) as exc:
+        return type(exc), str(exc)
+
+
+class TestFdOracleBuiltOnce:
+    # fd_oracle builds its matrix's grid-fixed parts once and returns the
+    # stencil's own slope; it must keep every bit, and every refusal, of
+    # the oracle that rebuilt them on each Newton step
+
+    @staticmethod
+    def assert_same(params, grid, **kwargs):
+        got = _outcome(fd_oracle, params, grid, **kwargs)
+        want = _outcome(per_step_matrix_oracle, params, grid, **kwargs)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        for mine, theirs in ((got.h, want.h), (got.dh, want.dh)):
+            np.testing.assert_array_equal(mine, theirs)
+            assert np.array_equal(np.signbit(mine), np.signbit(theirs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=A_ACROSS_BESSEL_BRANCHES | st.floats(1e-300, 1e-6, exclude_max=True),
+        fraction=st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True),
+        n=st.sampled_from([3, 5, 101, 401]),
+    )
+    def test_matches_the_per_step_matrix_bit_for_bit(self, a, fraction, n):
+        grid = RadialGrid.uniform(n)
+        # the largest b with b M spacing <= 1, past which fd_oracle refuses
+        params = ModelParams(a=a, b=fraction / (solver.LIPSCHITZ_M * grid.spacing))
+        for linearize in (False, True):
+            for tol in (None, 1e-9):
+                self.assert_same(params, grid, tol=tol, linearize=linearize)
+
+    @pytest.mark.parametrize("linearize", [False, True])
+    def test_matches_on_the_fine_grid(self, linearize):
+        self.assert_same(TWO_TWO, RadialGrid.uniform(4001), linearize=linearize)
+
+    def test_same_stall_message(self):
+        grid = RadialGrid.uniform(401)
+        got = _outcome(fd_oracle, TWO_TWO, grid, tol=1e-16)
+        assert got[0] is NoConvergence
+        assert got == _outcome(per_step_matrix_oracle, TWO_TWO, grid, tol=1e-16)
